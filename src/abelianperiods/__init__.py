@@ -21,6 +21,7 @@ from .analysis import (
 from .generators import cyclic_word, fibonacci_word, random_word, spike_word
 from .offline import brute_force_periods, select_periods, shift_check
 from .online import (
+    Sink,
     extract_until_ok,
     online_array,
     online_heap,
@@ -32,7 +33,6 @@ from .rank_select import (
     compute_g,
     compute_m,
     compute_select,
-    head_is_blocked,
     select,
 )
 from .words import (
@@ -52,7 +52,9 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ALGOS",
     "Alphabet",
+    "ONLINE_ALGOS",
     "ParikhVector",
     "Period",
     "PeriodStats",
@@ -72,7 +74,6 @@ __all__ = [
     "fibonacci_word",
     "filter_nondeducible",
     "filter_nontrivial",
-    "head_is_blocked",
     "is_abelian_period",
     "online_array",
     "online_heap",
@@ -91,14 +92,42 @@ __all__ = [
 ]
 
 
-def abelian_periods(word, algo: str = "select") -> "list[Period]":
+ONLINE_ALGOS = ("online-array", "online-list", "online-heap")
+ALGOS = ("brute", "select") + ONLINE_ALGOS
+
+
+def abelian_periods(
+    word,
+    algo: str = "select",
+    *,
+    nontrivial_only: bool = False,
+    sink: "Sink | None" = None,
+) -> "list[Period]":
     """All Abelian periods of ``word`` (a str or :class:`Word`), sorted.
 
-    ``algo`` is one of brute, select, online-array, online-list,
-    online-heap; all five return the same list.
+    ``algo`` is one of :data:`ALGOS`; all five return the same list. With
+    ``nontrivial_only`` only periods with h + 2p <= n are kept, and the
+    off-line algorithms enumerate just those. ``sink(i, periods)`` receives
+    the period set of every prefix w[1..i]; only the on-line algorithms take
+    one. An unknown ``algo`` or a sink for an off-line one raises ValueError.
     """
-    from .cli import run_algorithm
-
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    if sink is not None and algo not in ONLINE_ALGOS:
+        raise ValueError(f"{algo!r} is not an on-line algorithm and takes no sink")
     if isinstance(word, str):
         word = Word(word)
-    return run_algorithm(word, algo)
+    table = PrefixParikhTable(word)
+    # module-global lookups, so that patching or wrapping an enumerator on
+    # this package reaches every call made through here
+    if algo == "brute":
+        return list(brute_force_periods(table, nontrivial_only=nontrivial_only))
+    if algo == "select":
+        return list(select_periods(table, nontrivial_only=nontrivial_only))
+    if algo == "online-array":
+        result = table_final_periods(online_array(table, sink), table.n)
+    elif algo == "online-list":
+        result = sorted(online_list(table, sink), key=period_order_key)
+    else:
+        result = sorted(online_heap(table, sink), key=period_order_key)
+    return filter_nontrivial(result, table.n) if nontrivial_only else result

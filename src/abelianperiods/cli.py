@@ -25,10 +25,11 @@ import time
 from itertools import product
 from typing import Iterator
 
+from . import ALGOS, ONLINE_ALGOS
+# the library's one dispatch; perfbench's traced pass calls it under this name
+from . import abelian_periods as run_algorithm
 from .analysis import filter_nondeducible, filter_nontrivial, smallest_period
 from .generators import cyclic_word, fibonacci_word, random_word, spike_word
-from .offline import brute_force_periods, select_periods
-from .online import online_array, online_heap, online_list, table_final_periods
 from .words import (
     Alphabet,
     Period,
@@ -38,56 +39,7 @@ from .words import (
     periods_by_definition,
 )
 
-ONLINE_ALGOS = ("online-array", "online-list", "online-heap")
-ALGOS = ("brute", "select") + ONLINE_ALGOS
 FILTERS = ("all", "nontrivial", "nondeducible")
-
-
-def run_algorithm(
-    word: Word, algo: str, *, nontrivial_only: bool = False
-) -> list[Period]:
-    """Period list of the whole word in canonical order, by any algorithm.
-
-    With ``nontrivial_only`` the off-line algorithms cap their candidate
-    range at h + 2p <= n (the cheap path); the on-line ones cannot shrink
-    their bookkeeping, so they run in full and filter afterwards. Both
-    routes return the same list.
-    """
-    table = PrefixParikhTable(word)
-    if algo == "brute":
-        return list(brute_force_periods(table, nontrivial_only=nontrivial_only))
-    if algo == "select":
-        return list(select_periods(table, nontrivial_only=nontrivial_only))
-    if algo == "online-array":
-        result = table_final_periods(online_array(table), table.n)
-    elif algo == "online-list":
-        result = sorted(online_list(table), key=period_order_key)
-    elif algo == "online-heap":
-        result = sorted(online_heap(table), key=period_order_key)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    if nontrivial_only:
-        result = filter_nontrivial(result, table.n)
-    return result
-
-
-def prefix_period_sets(word: Word, algo: str) -> list[set[Period]]:
-    """Per-prefix period sets of an on-line algorithm, index i-1 for w[1..i]."""
-    if algo not in ONLINE_ALGOS:
-        raise ValueError(f"{algo!r} is not an on-line algorithm")
-    table = PrefixParikhTable(word)
-    collected: list[set[Period]] = []
-
-    def sink(i: int, periods: set[Period]) -> None:
-        collected.append(periods)
-
-    if algo == "online-array":
-        online_array(table, sink)
-    elif algo == "online-list":
-        online_list(table, sink)
-    else:
-        online_heap(table, sink)
-    return collected
 
 
 def cross_check_word(word: Word, *, check_prefixes: bool = True) -> str | None:
@@ -98,16 +50,9 @@ def cross_check_word(word: Word, *, check_prefixes: bool = True) -> str | None:
     With ``check_prefixes`` the three on-line algorithms' per-prefix sets
     are also compared against the definition on every prefix.
     """
-    table = PrefixParikhTable(word)
-    reference = list(periods_by_definition(table))
-    final = {
-        "brute": list(brute_force_periods(table)),
-        "select": list(select_periods(table)),
-        "online-array": table_final_periods(online_array(table), table.n),
-        "online-list": sorted(online_list(table), key=period_order_key),
-        "online-heap": sorted(online_heap(table), key=period_order_key),
-    }
-    for name, got in final.items():
+    reference = list(periods_by_definition(PrefixParikhTable(word)))
+    for name in ALGOS:
+        got = run_algorithm(word, name)
         if got != reference:
             bad = min(set(got) ^ set(reference), key=period_order_key)
             return (
@@ -115,11 +60,13 @@ def cross_check_word(word: Word, *, check_prefixes: bool = True) -> str | None:
                 f"({bad[0]}, {bad[1]})"
             )
     if check_prefixes and len(word):
-        per_prefix = {name: prefix_period_sets(word, name) for name in ONLINE_ALGOS}
+        per_prefix: dict[str, list[set[Period]]] = {name: [] for name in ONLINE_ALGOS}
+        for name, sets in per_prefix.items():
+            run_algorithm(word, name, sink=lambda i, periods: sets.append(periods))
         for i in range(1, len(word) + 1):
             ref_i = set(periods_by_definition(PrefixParikhTable(word.prefix(i))))
-            for name in ONLINE_ALGOS:
-                got_i = per_prefix[name][i - 1]
+            for name, sets in per_prefix.items():
+                got_i = sets[i - 1]
                 if got_i != ref_i:
                     bad = min(got_i ^ ref_i, key=period_order_key)
                     return (
@@ -156,11 +103,14 @@ def cmd_periods(args) -> int:
             args.parser.error("--prefixes requires an on-line --algo")
         if args.smallest or args.count or args.as_json:
             args.parser.error("--prefixes cannot be combined with --smallest, --count or --json")
-        for i, periods in enumerate(prefix_period_sets(word, args.algo), start=1):
-            shown = _apply_filter(sorted(periods, key=period_order_key), args.filter_name, i)
+
+        def show(i: int, periods: set[Period]) -> None:
             print(f"# prefix {i}")
+            shown = _apply_filter(sorted(periods, key=period_order_key), args.filter_name, i)
             for h, p in shown:
                 print(f"{h} {p}")
+
+        run_algorithm(word, args.algo, sink=show)
         return 0
     periods = _apply_filter(run_algorithm(word, args.algo), args.filter_name, len(word))
     if args.as_json:
@@ -221,6 +171,8 @@ def cmd_verify(args) -> int:
         args.parser.error("choose one mode: --max-len (exhaustive) or --random (sampled)")
     if args.random_count is not None and args.length is None:
         args.parser.error("--len is required with --random")
+    if args.length is not None and args.length < 0:
+        args.parser.error("--len must be non-negative")
     if not 1 <= args.sigma <= 26:
         args.parser.error("--sigma must be between 1 and 26")
     checked = 0
@@ -235,37 +187,25 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _bench_count(word: Word, algo: str, nontrivial: bool) -> int:
-    """One timed run: build the prefix table, enumerate, count post-filter."""
-    table = PrefixParikhTable(word)
-    if algo == "brute":
-        return sum(1 for _ in brute_force_periods(table, nontrivial_only=nontrivial))
-    if algo == "select":
-        return sum(1 for _ in select_periods(table, nontrivial_only=nontrivial))
-    if algo == "online-array":
-        final = table_final_periods(online_array(table), table.n)
-    elif algo == "online-list":
-        final = online_list(table)
-    else:
-        final = online_heap(table)
-    if nontrivial:
-        return len(filter_nontrivial(final, table.n))
-    return len(final)
-
-
 def _word_seed(seed: int, sigma: int, length: int, j: int) -> int:
     # same words for every algorithm of a (sigma, length) cell
     return ((seed * 1000003 + sigma) * 1000003 + length) * 1000003 + j
 
 
 def cmd_bench(args) -> int:
+    if args.reps < 0:
+        args.parser.error("--reps must be non-negative")
+    if min(args.lengths) < 0:
+        args.parser.error("--lengths must be non-negative")
+    if not all(1 <= sigma <= 26 for sigma in args.sigmas):
+        args.parser.error("--sigma values must be between 1 and 26")
     out = open(args.csv_path, "w", newline="") if args.csv_path else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(
             ["algo", "sigma", "length", "reps", "mean_ms", "stddev_ms", "total_periods"]
         )
-        if args.reps <= 0:
+        if args.reps == 0:
             return 0
         nontrivial = args.filter_name == "nontrivial"
         for algo in args.algos:
@@ -278,7 +218,7 @@ def cmd_bench(args) -> int:
                             sigma, length, seed=_word_seed(args.seed, sigma, length, j)
                         )
                         t0 = time.perf_counter()
-                        count = _bench_count(word, algo, nontrivial)
+                        count = len(run_algorithm(word, algo, nontrivial_only=nontrivial))
                         times_ms.append((time.perf_counter() - t0) * 1000.0)
                         total += count
                     writer.writerow(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .rank_select import SelectIndex, compute_g, compute_m, compute_select
-from .words import Period, PrefixParikhTable
+from .words import Period, PrefixParikhTable, contains_weak
 
 __all__ = ["brute_force_periods", "select_periods", "shift_check"]
 
@@ -101,10 +101,10 @@ def shift_check(
         raise ValueError(f"head/period ({h}, {p}) violates 0 <= h < p")
     if h + p > n:
         raise ValueError(f"period ({h}, {p}) does not fit in a word of length {n}")
-    if not skip_head_check and not table.factor_leq(1, h, h + 1, p):
-        return False
     head = table.factor(1, h)
     block = table.factor(h + 1, p)
+    if not skip_head_check and not contains_weak(head, block):
+        return False
     C, S = idx.C, idx.S
     sigma = len(C) - 1
     i = h + p

@@ -1,25 +1,21 @@
 """On-line algorithms: the period sets of every prefix, one letter at a time.
 
-All three algorithms share the same dynamic-programming core. A period of
-a prefix can only survive an extension, never reappear: if (h, p) fails for
-w[1..i] it fails for every longer prefix. Reading position i therefore
-boils down to two tests per ongoing period:
+A period of a prefix can only survive an extension, never reappear: if
+(h, p) fails for w[1..i] it fails for every longer prefix. The periods of
+w[1..i] are therefore the survivors among those of w[1..i-1], found by the
+extension test :func:`_survivors`, plus the new candidates (h, i - h) with
+2h < i whose head fits strictly in the rest of the prefix. Head containment
+is monotone in h, so those seeds are h < k for the count k that
+:func:`_fitting_heads` returns.
 
-* the tail grew inside a block (d = (i - h) mod p != 0): the new tail must
-  stay weakly contained in the previous full block;
-* the tail just completed a block (d = 0): the completed block must be an
-  anagram of the one before it;
-
-plus seeding the brand-new candidates (h, i - h) for 2h < i whose head is
-strictly contained in the rest of the prefix.
-
-The three variants differ only in how the ongoing set is stored: a table
-remembering the longest prefix each pair survived, a plain list rebuilt
-per position, or a family of min-heaps bucketed by current tail length.
-The heap variant tests only each heap's minimum: if the minimum survives,
-every period sharing that tail length survives with it (their last full
-blocks end at the same position and nest by length), so whole buckets pass
-in one comparison.
+:func:`online_list` and :func:`online_array` share the per-position sweep
+:func:`_sweep` and only record it differently: the live list itself, or a
+table remembering the longest prefix each pair survived. :func:`online_heap`
+buckets the live periods into min-heaps by current tail length and tests
+only each heap's minimum (:func:`extract_until_ok`): if the minimum
+survives, every period sharing that tail length survives with it (their
+last full blocks end at the same position and nest by length), so whole
+buckets pass in one comparison.
 
 Every algorithm accepts an optional ``sink(i, periods)`` callback invoked
 after each position with the period set of w[1..i] (a fresh set, unordered;
@@ -30,7 +26,7 @@ per-prefix sets are materialised.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Callable, Iterator
 
 from .words import Period, PrefixParikhTable, period_order_key
 
@@ -45,15 +41,61 @@ __all__ = [
 Sink = Callable[[int, "set[Period]"], None]
 
 
-def _survives(table: PrefixParikhTable, i: int, h: int, p: int) -> tuple[bool, bool]:
-    """Extension test at position i for a period of w[1..i-1].
+def _survivors(cols: list[list[int]], i: int, periods: list[Period]) -> list[Period]:
+    """The members of ``periods`` (periods of w[1..i-1]) that survive position i.
 
-    Returns (ok, completed); completed means position i closed a full block.
+    ``cols`` are the per-letter prefix counts. A whole list is filtered per
+    call because the test is the on-line algorithms' inner loop.
     """
-    d = (i - h) % p
-    if d:
-        return table.factor_leq(i - d + 1, d, i - d - p + 1, p), False
-    return table.factor_equal(i - p + 1, i - 2 * p + 1, p), True
+    out: list[Period] = []
+    for hp in periods:
+        h, p = hp
+        d = (i - h) % p
+        mid = i - d if d else i - p  # where the leaned-on block ends
+        lo = mid - p
+        if d:
+            for col in cols:
+                if col[i] - col[mid] > col[mid] - col[lo]:
+                    break
+            else:
+                out.append(hp)
+        else:
+            for col in cols:
+                if col[i] - col[mid] != col[mid] - col[lo]:
+                    break
+            else:
+                out.append(hp)
+    return out
+
+
+def _fitting_heads(cols: list[list[int]], i: int) -> int:
+    """The count k of heads h with 2h < i strictly contained in w[h+1..i].
+
+    Head containment is monotone in h, so the fitting heads are h < k.
+    """
+    h = 0
+    while 2 * h < i:
+        for col in cols:
+            if 2 * col[h] > col[i]:
+                return h
+        h += 1
+    return h
+
+
+def _sweep(table: PrefixParikhTable) -> Iterator[tuple[int, list[Period], int]]:
+    """Yield ``(i, live, k)`` for i = 1..n.
+
+    ``live`` lists the periods of w[1..i]: the survivors among those of
+    w[1..i-1] in their previous order, then the seeds (h, i - h) for h < k
+    by increasing h. Callers must not mutate it.
+    """
+    cols = table.prefix_counts
+    live: list[Period] = []
+    for i in range(1, table.n + 1):
+        k = _fitting_heads(cols, i)
+        live = _survivors(cols, i, live)
+        live += [(h, i - h) for h in range(k)]
+        yield i, live, k
 
 
 def online_array(
@@ -66,50 +108,14 @@ def online_array(
     head containment when it was first seeded. Pairs never seeded are
     absent. The final period set of the word is ``{hp : t[hp] == n}``.
     """
-    n = table.n
     t: dict[Period, int] = {}
-    if n == 0:
-        return t
-    t[0, 1] = 1
-    active: list[Period] = [(0, 1)]
-    cols = table.prefix_counts
-    if sink is not None:
-        sink(1, set(active))
-    for i in range(2, n + 1):
-        cur: list[Period] = []
-        for hp in active:
-            h, p = hp
-            d = (i - h) % p
-            mid = i - d if d else i - p  # where the leaned-on block ends
-            lo = mid - p
-            ok = True
-            if d:
-                for col in cols:
-                    if col[i] - col[mid] > col[mid] - col[lo]:
-                        ok = False
-                        break
-            else:
-                for col in cols:
-                    if col[i] - col[mid] != col[mid] - col[lo]:
-                        ok = False
-                        break
-            if ok:
-                t[hp] = i
-                cur.append(hp)
-        for h in range((i - 1) // 2 + 1):
-            ok = True
-            for col in cols:
-                if 2 * col[h] > col[i]:
-                    ok = False
-                    break
-            if ok:
-                t[h, i - h] = i
-                cur.append((h, i - h))
-            else:
-                t[h, i - h] = -1
-        active = cur
+    for i, live, k in _sweep(table):
+        for hp in live:
+            t[hp] = i
+        for h in range(k, (i - 1) // 2 + 1):
+            t[h, i - h] = -1
         if sink is not None:
-            sink(i, set(active))
+            sink(i, set(live))
     return t
 
 
@@ -123,45 +129,11 @@ def online_list(table: PrefixParikhTable, sink: Sink | None = None) -> list[Peri
 
     Returns the period list of the whole word (unordered).
     """
-    n = table.n
-    if n == 0:
-        return []
-    cur: list[Period] = [(0, 1)]
-    cols = table.prefix_counts
-    if sink is not None:
-        sink(1, set(cur))
-    for i in range(2, n + 1):
-        nxt: list[Period] = []
-        for hp in cur:
-            h, p = hp
-            d = (i - h) % p
-            mid = i - d if d else i - p
-            lo = mid - p
-            ok = True
-            if d:
-                for col in cols:
-                    if col[i] - col[mid] > col[mid] - col[lo]:
-                        ok = False
-                        break
-            else:
-                for col in cols:
-                    if col[i] - col[mid] != col[mid] - col[lo]:
-                        ok = False
-                        break
-            if ok:
-                nxt.append(hp)
-        for h in range((i - 1) // 2 + 1):
-            ok = True
-            for col in cols:
-                if 2 * col[h] > col[i]:
-                    ok = False
-                    break
-            if ok:
-                nxt.append((h, i - h))
-        cur = nxt
+    live: list[Period] = []
+    for i, live, _ in _sweep(table):
         if sink is not None:
-            sink(i, set(cur))
-    return cur
+            sink(i, set(live))
+    return live
 
 
 def extract_until_ok(
@@ -178,11 +150,11 @@ def extract_until_ok(
     ``new_heap``, the bucket for empty tails. A heap whose root already
     survives is left untouched.
     """
+    cols = table.prefix_counts
     while heap:
         p, h = heap[0]
-        ok, completed = _survives(table, i, h, p)
-        if ok:
-            if completed:
+        if _survivors(cols, i, [(h, p)]):
+            if (i - h) % p == 0:
                 heapq.heappush(new_heap, heapq.heappop(heap))
             return
         heapq.heappop(heap)
@@ -200,39 +172,17 @@ def online_heap(table: PrefixParikhTable, sink: Sink | None = None) -> set[Perio
 
     Returns the period set of the whole word.
     """
-    n = table.n
-    if n == 0:
-        return set()
-    heaps: list[list[tuple[int, int]]] = [[(1, 0)]]
     cols = table.prefix_counts
-    if sink is not None:
-        sink(1, {(0, 1)})
-    for i in range(2, n + 1):
+    heaps: list[list[tuple[int, int]]] = []
+    for i in range(1, table.n + 1):
         new_heap: list[tuple[int, int]] = []
-        kept: list[list[tuple[int, int]]] = []
         for heap in heaps:
-            p, h = heap[0]
-            ok, completed = _survives(table, i, h, p)
-            if not ok:
-                extract_until_ok(heap, i, table, new_heap)
-            elif completed:
-                heapq.heappush(new_heap, heapq.heappop(heap))
-            if heap:
-                kept.append(heap)
-        h = 0
-        while 2 * h < i:
-            contained = True
-            for col in cols:
-                if 2 * col[h] > col[i]:
-                    contained = False
-                    break
-            if not contained:
-                break
+            extract_until_ok(heap, i, table, new_heap)
+        heaps = [heap for heap in heaps if heap]
+        for h in range(_fitting_heads(cols, i)):
             heapq.heappush(new_heap, (i - h, h))
-            h += 1
         if new_heap:
-            kept.append(new_heap)
-        heaps = kept
+            heaps.append(new_heap)
         if sink is not None:
             sink(i, {(h, p) for heap in heaps for p, h in heap})
     return {(h, p) for heap in heaps for p, h in heap}

@@ -29,7 +29,6 @@ __all__ = [
     "select",
     "compute_m",
     "compute_g",
-    "head_is_blocked",
 ]
 
 
@@ -130,11 +129,6 @@ def compute_m(word: Word, idx: SelectIndex) -> list[int]:
         if m[h] == h:
             m[h] = h + 1
     return m
-
-
-def head_is_blocked(m: list[int], h: int) -> bool:
-    """Whether no block length at all can absorb the length-h head."""
-    return m[h] == -1
 
 
 def compute_g(word: Word) -> list[int]:

@@ -204,35 +204,6 @@ class PrefixParikhTable:
         lo, hi = i - 1, i + m - 1
         return tuple(c[hi] - c[lo] for c in self.prefix_counts)
 
-    def factor_leq(self, i1: int, m1: int, i2: int, m2: int) -> bool:
-        """Weak containment of factor (i1, m1) in factor (i2, m2).
-
-        Equivalent to ``contains_weak(self.factor(i1, m1), self.factor(i2, m2))``
-        without building the tuples; this is the hot test of the on-line
-        algorithms.
-        """
-        if i1 < 1 or m1 < 0 or i1 + m1 - 1 > self.n:
-            raise ValueError(f"factor (i={i1}, m={m1}) out of range for n={self.n}")
-        if i2 < 1 or m2 < 0 or i2 + m2 - 1 > self.n:
-            raise ValueError(f"factor (i={i2}, m={m2}) out of range for n={self.n}")
-        a, b = i1 - 1, i1 + m1 - 1
-        c, d = i2 - 1, i2 + m2 - 1
-        for col in self.prefix_counts:
-            if col[b] - col[a] > col[d] - col[c]:
-                return False
-        return True
-
-    def factor_equal(self, i1: int, i2: int, m: int) -> bool:
-        """Whether the length-m factors at positions i1 and i2 are anagrams."""
-        if i1 < 1 or i2 < 1 or m < 0 or i1 + m - 1 > self.n or i2 + m - 1 > self.n:
-            raise ValueError(f"factors (i1={i1}, i2={i2}, m={m}) out of range")
-        a, b = i1 - 1, i1 + m - 1
-        c, d = i2 - 1, i2 + m - 1
-        for col in self.prefix_counts:
-            if col[b] - col[a] != col[d] - col[c]:
-                return False
-        return True
-
 
 def is_abelian_period(table: PrefixParikhTable, h: int, p: int) -> bool:
     """Definition-level check that (h, p) is an Abelian period of the word.

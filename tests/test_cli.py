@@ -175,6 +175,9 @@ class TestVerifyCommand:
         assert cli("verify", "--max-len", "2", "--random", "2", "--len", "3")[0] == 2
         assert cli("verify", "--random", "2")[0] == 2
 
+    def test_negative_length_is_a_usage_error(self, cli):
+        assert cli("verify", "--random", "2", "--len", "-3")[0] == 2
+
     def test_detects_an_injected_fault(self, cli, monkeypatch):
         from abelianperiods.offline import select_periods as real
 
@@ -183,7 +186,7 @@ class TestVerifyCommand:
             next(results, None)  # swallow one period
             yield from results
 
-        monkeypatch.setattr("abelianperiods.cli.select_periods", broken)
+        monkeypatch.setattr("abelianperiods.select_periods", broken)
         code, out, _ = cli("verify", "--max-len", "3", "--sigma", "2")
         assert code == 1
         assert "select" in out and "disagree" in out
@@ -205,6 +208,16 @@ class TestBenchCommand:
     def test_reps_zero_prints_header_only(self, cli):
         code, out, _ = cli("bench", "--reps", "0")
         assert code == 0 and out.strip() == self.HEADER
+
+    def test_negative_reps_is_a_usage_error(self, cli):
+        code, out, _ = cli("bench", "--reps", "-1")
+        assert code == 2 and out == ""
+
+    def test_negative_length_is_a_usage_error(self, cli):
+        assert cli("bench", "--lengths", "-5", "--reps", "1")[0] == 2
+
+    def test_zero_sigma_is_a_usage_error(self, cli):
+        assert cli("bench", "--sigma", "0", "--reps", "1")[0] == 2
 
     def test_same_words_for_every_algorithm(self, cli):
         code, out, _ = cli(

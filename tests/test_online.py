@@ -5,10 +5,16 @@ import heapq
 import pytest
 
 from abelianperiods import (
+    ALGOS,
+    ONLINE_ALGOS,
     Alphabet,
     PrefixParikhTable,
     Word,
+    abelian_periods,
+    contains_weak,
     extract_until_ok,
+    filter_nontrivial,
+    is_abelian_period,
     online_array,
     online_heap,
     online_list,
@@ -63,6 +69,28 @@ class TestOnlineArray:
     def test_golden_prefix_three(self):
         sets = dict(collect_prefix_sets(online_array, table_of(GOLDEN)))
         assert sets[3] == set(oracle_periods(GOLDEN[:3]))
+
+    @pytest.mark.parametrize("letters,max_len", [("ab", 10), ("abc", 6)])
+    def test_whole_table_matches_definition(self, letters, max_len):
+        alphabet = Alphabet(letters)
+        for text in words_over(letters, max_len):
+            word = Word(text, alphabet)
+            n = len(text)
+            prefixes = [PrefixParikhTable(word.prefix(j)) for j in range(n + 1)]
+            t = online_array(prefixes[n])
+            assert set(t) == {
+                (h, p) for p in range(1, n + 1) for h in range(min(p - 1, n - p) + 1)
+            }, text
+            for (h, p), got in t.items():
+                # one full block and no tail: only the head test decides
+                if not is_abelian_period(prefixes[h + p], h, p):
+                    assert got == -1, (text, h, p)
+                    continue
+                holders = [
+                    j for j in range(h + p, n + 1)
+                    if is_abelian_period(prefixes[j], h, p)
+                ]
+                assert got == max(holders), (text, h, p)
 
 
 class TestOnlineList:
@@ -135,6 +163,45 @@ class TestPerPrefixSets:
                 assert got == set(oracle_periods(text[:i])), (text, i)
 
 
+class TestDispatch:
+    @pytest.mark.parametrize("algo", ONLINE_ALGOS)
+    @pytest.mark.parametrize("letters,max_len", [("ab", 8), ("abc", 5)])
+    def test_sink_sets_match_definition(self, algo, letters, max_len):
+        alphabet = Alphabet(letters)
+        for text in words_over(letters, max_len):
+            seen = []
+            got = abelian_periods(
+                Word(text, alphabet), algo, sink=lambda i, s: seen.append((i, s))
+            )
+            assert got == list(oracle_periods(text)), text
+            assert seen == [
+                (i, set(oracle_periods(text[:i]))) for i in range(1, len(text) + 1)
+            ], text
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_nontrivial_only(self, algo):
+        for text in words_over("ab", 8):
+            expected = filter_nontrivial(list(oracle_periods(text)), len(text))
+            assert abelian_periods(text, algo, nontrivial_only=True) == expected, text
+
+    @pytest.fixture
+    def no_table(self, monkeypatch):
+        # bad arguments must be rejected before any work starts
+        def refuse(word):
+            raise AssertionError("prefix table built")
+
+        monkeypatch.setattr("abelianperiods.PrefixParikhTable", refuse)
+
+    def test_unknown_algorithm(self, no_table):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            abelian_periods(GOLDEN, "quick")
+
+    @pytest.mark.parametrize("algo", ["brute", "select"])
+    def test_sink_needs_an_online_algorithm(self, algo, no_table):
+        with pytest.raises(ValueError, match="on-line"):
+            abelian_periods(GOLDEN, algo, sink=lambda i, s: None)
+
+
 class TestPrefixProperties:
     def test_lost_periods_never_return(self):
         # a pair absent from some prefix's set stays absent ever after
@@ -166,7 +233,7 @@ class TestPrefixProperties:
             table = table_of(text)
             for i in range(1, len(text) + 1):
                 flags = [
-                    table.factor_leq(1, h, h + 1, i - h)
+                    contains_weak(table.factor(1, h), table.factor(h + 1, i - h))
                     for h in range((i - 1) // 2 + 1)
                 ]
                 assert flags == sorted(flags, reverse=True), (text, i)
