@@ -9,6 +9,12 @@ block boundaries h, h + p, h + 2p, ... inside 1..n) form a strict subset of
 the other's: every boundary it asserts is already asserted by the finer
 period. Non-deducible periods are the maximal elements under that strict
 containment, so at least one always survives the filter.
+
+Cutting sets are residue classes: for 0 <= h < p and h + p <= n the cuts of
+(h, p) are exactly {x in 1..n : x = h (mod p)}. Two cuts x and x + p lie in
+another class mod q only if q divides p, so strict containment reduces to a
+lookup over the proper divisors of p, and the filter never compares two
+cutting sets (see :func:`filter_nondeducible`).
 """
 
 from __future__ import annotations
@@ -45,16 +51,43 @@ def filter_nondeducible(periods: Iterable[Period], n: int) -> list[Period]:
     """Drop every period whose cutting set another period strictly refines.
 
     ``periods`` should be the complete period set of the word; deducibility
-    is relative to it. Pairwise subset checks, O(s^2) set comparisons.
+    is relative to it. Input order is kept, and duplicates never refine
+    each other. With ``heads[q]`` the heads of the input periods of block
+    length q, a period (h, p) is deducible iff
+
+    * it cuts twice or more (h > 0 or 2p <= n) and some proper divisor q
+      of p has ``h % q`` in ``heads[q]``; or
+    * its only cut is p (h = 0, 2p > n) and some other period (h', q) !=
+      (0, p) has h' = p (mod q).
+
+    Cost: O(n log n) for the divisor sieve over the block lengths present,
+    plus O(sum of d(p)) divisor probes over the s input periods, plus
+    O(n) probes per single-cut period; no cutting set is built.
+
+    Raises ValueError for a pair outside 0 <= h < p, h + p <= n, where the
+    criterion does not hold.
     """
     periods = list(periods)
-    cuts = [cutting_positions(h, p, n) for h, p in periods]
-    kept = []
-    for i, hp in enumerate(periods):
-        ci = cuts[i]
-        if not any(ci < cj for j, cj in enumerate(cuts) if j != i):
-            kept.append(hp)
-    return kept
+    heads: dict[int, set[int]] = {}
+    for h, p in periods:
+        if not (0 <= h < p and h + p <= n):
+            raise ValueError(
+                f"pair ({h}, {p}) violates 0 <= h < p, h + p <= n for n = {n}"
+            )
+        heads.setdefault(p, set()).add(h)
+    divisors: dict[int, list[int]] = {p: [] for p in heads}
+    for q in heads:
+        for m in range(2 * q, n + 1, q):
+            if m in divisors:
+                divisors[m].append(q)
+
+    def deducible(h: int, p: int) -> bool:
+        if h or 2 * p <= n:
+            return any(h % q in heads[q] for q in divisors[p])
+        # the class of q == p holding p is {p} itself, i.e. (0, p)
+        return any(p % q in hs for q, hs in heads.items() if q != p)
+
+    return [hp for hp in periods if not deducible(*hp)]
 
 
 def smallest_period(periods: Iterable[Period]) -> Period | None:

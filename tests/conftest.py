@@ -5,7 +5,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from abelianperiods import PrefixParikhTable, Word, periods_by_definition
+from abelianperiods import (
+    PrefixParikhTable,
+    Word,
+    cutting_positions,
+    periods_by_definition,
+)
 
 
 def recount_is_period(text: str, h: int, p: int) -> bool:
@@ -43,6 +48,22 @@ def recount_periods(text: str) -> list[tuple[int, int]]:
 def oracle_periods(text: str) -> tuple[tuple[int, int], ...]:
     """Period tuple of ``text`` via the library's definition-level oracle."""
     return tuple(periods_by_definition(PrefixParikhTable(Word(text))))
+
+
+def pairwise_nondeducible(periods, n: int) -> list[tuple[int, int]]:
+    """The pairwise non-deducible filter, kept as the oracle of the fast one.
+
+    ``periods`` should be the complete period set of the word; deducibility
+    is relative to it. Pairwise subset checks, O(s^2) set comparisons.
+    """
+    periods = list(periods)
+    cuts = [cutting_positions(h, p, n) for h, p in periods]
+    kept = []
+    for i, hp in enumerate(periods):
+        ci = cuts[i]
+        if not any(ci < cj for j, cj in enumerate(cuts) if j != i):
+            kept.append(hp)
+    return kept
 
 
 def words_over(letters: str, max_len: int, min_len: int = 1):

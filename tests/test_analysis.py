@@ -1,8 +1,13 @@
 """Period-set post-processing: classification, cutting sets, statistics."""
 
+import random
+
+import pytest
+
 from abelianperiods import (
     PrefixParikhTable,
     Word,
+    abelian_periods,
     brute_force_periods,
     cutting_positions,
     filter_nondeducible,
@@ -11,7 +16,7 @@ from abelianperiods import (
     period_stats,
     smallest_period,
 )
-from conftest import oracle_periods, words_over
+from conftest import oracle_periods, pairwise_nondeducible, words_over
 
 GOLDEN = "abaababa"
 GOLDEN_PERIODS = list(oracle_periods(GOLDEN))
@@ -81,6 +86,46 @@ class TestFilterNondeducible:
             if not any(cuts[hp] < cuts[other] for other in GOLDEN_PERIODS if other != hp)
         ]
         assert filter_nondeducible(GOLDEN_PERIODS, n) == expected
+
+
+class TestNondeducibleAgainstPairwise:
+    """The divisor-lookup filter against the pairwise O(s^2) oracle."""
+
+    def test_complete_period_sets(self):
+        for letters, max_len in (("ab", 11), ("abc", 7)):
+            for text in words_over(letters, max_len):
+                periods = list(oracle_periods(text))
+                n = len(text)
+                assert filter_nondeducible(periods, n) == pairwise_nondeducible(periods, n), text
+
+    def test_per_prefix_sets(self):
+        for text in words_over("ab", 9):
+            checked = []
+
+            def sink(i, periods):
+                ordered = sorted(periods, key=period_order_key)
+                assert filter_nondeducible(ordered, i) == pairwise_nondeducible(ordered, i)
+                checked.append(i)
+
+            abelian_periods(text, "online-heap", sink=sink)
+            assert checked == list(range(1, len(text) + 1)), text
+
+    def test_random_subsets_with_duplicates_keep_order(self):
+        rng = random.Random(3)
+        for _ in range(2000):
+            n = rng.randint(1, 16)
+            pairs = [(h, p) for p in range(1, n + 1) for h in range(min(p - 1, n - p) + 1)]
+            chosen = rng.choices(pairs, k=rng.randint(0, 2 * len(pairs)))
+            rng.shuffle(chosen)
+            kept = filter_nondeducible(chosen, n)
+            assert kept == pairwise_nondeducible(chosen, n), (n, chosen)
+            rest = iter(chosen)
+            assert all(hp in rest for hp in kept)  # a subsequence of the input
+
+    @pytest.mark.parametrize("bad", [(-1, 2), (2, 2), (3, 1), (1, 8), (0, 9), (0, 0)])
+    def test_pairs_outside_the_domain_are_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"\({bad[0]}, {bad[1]}\)"):
+            filter_nondeducible([(0, 1), bad], 8)
 
 
 class TestSmallestPeriod:

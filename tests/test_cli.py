@@ -178,6 +178,12 @@ class TestVerifyCommand:
     def test_negative_length_is_a_usage_error(self, cli):
         assert cli("verify", "--random", "2", "--len", "-3")[0] == 2
 
+    def test_negative_random_count_is_a_usage_error(self, cli):
+        assert cli("verify", "--random", "-3", "--len", "5")[0] == 2
+
+    def test_negative_max_len_is_a_usage_error(self, cli):
+        assert cli("verify", "--max-len", "-2")[0] == 2
+
     def test_detects_an_injected_fault(self, cli, monkeypatch):
         from abelianperiods.offline import select_periods as real
 
