@@ -169,10 +169,11 @@ def _verify_corpus(args) -> Iterator[Word]:
 def cmd_verify(args) -> int:
     if (args.max_len is None) == (args.random_count is None):
         args.parser.error("choose one mode: --max-len (exhaustive) or --random (sampled)")
-    if args.max_len is not None and args.max_len < 0:
-        args.parser.error("--max-len must be non-negative")
-    if args.random_count is not None and args.random_count < 0:
-        args.parser.error("--random must be non-negative")
+    # an empty corpus would pass without checking anything
+    if args.max_len is not None and args.max_len < 1:
+        args.parser.error("--max-len must be at least 1")
+    if args.random_count is not None and args.random_count < 1:
+        args.parser.error("--random must be at least 1")
     if args.random_count is not None and args.length is None:
         args.parser.error("--len is required with --random")
     if args.length is not None and args.length < 0:

@@ -2,15 +2,22 @@
 
 Two enumerators with identical output:
 
-* :func:`brute_force_periods` tests every admissible (h, p) against the
-  prefix Parikh table, walking the blocks until the first mismatch.
+* :func:`brute_force_periods` tests every admissible (h, p): the head
+  against the first block, then the blocks one by one until the first
+  mismatch, then the tail.
 * :func:`select_periods` prunes candidates with the M and G lower-bound
-  tables first, then verifies the surviving ones block by block through
-  constant-time select jumps (:func:`shift_check`) plus one tail test.
+  tables first, which also settles the head test, then verifies the
+  surviving ones with the same block walk and tail test.
 
-Both stream their output lazily as generators, in canonical order
-(increasing p, then increasing h), and both run in O(n^2 * sigma) time
-with O(n * sigma) space for the shared prefix table.
+Every head, block and tail test is one operation on packed Parikh vectors
+(see :class:`~abelianperiods.words.PrefixParikhTable`), so its cost does
+not grow with the alphabet. Both stream their output lazily as generators,
+in canonical order (increasing p, then increasing h), in O(n^2) vector
+operations.
+
+:func:`shift_check` is the paper's select-jump walk, kept as a standalone
+reference: it verifies a candidate through occurrence ranks alone, in
+O(n / p * sigma) lookups.
 
 With ``nontrivial_only`` the candidate range is capped at h + 2p <= n, so
 only periods with at least two full blocks are enumerated (and paid for);
@@ -27,52 +34,52 @@ from .words import Period, PrefixParikhTable, contains_weak
 __all__ = ["brute_force_periods", "select_periods", "shift_check"]
 
 
+def _verified_periods(
+    table: PrefixParikhTable, nontrivial_only: bool, bound: list[int] | None = None
+) -> Iterator[Period]:
+    """The candidates (h, p) that pass the head, block and tail tests.
+
+    Without ``bound`` every admissible candidate is tried and the head is
+    tested against the first block. With it only heads h < len(bound) are
+    tried, each with p >= bound[h] only, and the head test is skipped: the
+    bound must guarantee it.
+    """
+    n = table.n
+    P, guard = table.packed, table.guard
+    Pn = P[n]
+    hcap = n if bound is None else len(bound)
+    for p in range(1, n + 1):
+        hmax = min(p - 1, (n - 2 * p) if nontrivial_only else (n - p), hcap - 1)
+        for h in range(hmax + 1):
+            if bound is not None and p < bound[h]:
+                continue
+            ph = P[h]
+            j = h + p
+            block = P[j] - ph
+            if bound is None and ((block | guard) - ph) & guard != guard:
+                continue
+            t = (n - h) % p
+            last = n - t
+            e = P[j]
+            while j < last:
+                j += p
+                e += block
+                if P[j] != e:
+                    break
+            else:
+                if not t or ((block | guard) - (Pn - P[last])) & guard == guard:
+                    yield h, p
+
+
 def brute_force_periods(
     table: PrefixParikhTable, *, nontrivial_only: bool = False
 ) -> Iterator[Period]:
     """Every Abelian period of the word, by direct block comparison.
 
     For each candidate the head is checked against the first block, the
-    remaining full blocks against the first one (only sigma - 1 letters
-    need comparing, block lengths being equal), and the tail last.
+    remaining full blocks against the first one, and the tail last.
     """
-    n = table.n
-    if n == 0:
-        return
-    cols = table.prefix_counts
-    body = cols[:-1]  # last letter's count is implied by equal lengths
-    for p in range(1, n + 1):
-        hmax = min(p - 1, (n - 2 * p) if nontrivial_only else (n - p))
-        b1 = p
-        for h in range(hmax + 1):
-            k, t = divmod(n - h, p)
-            ok = True
-            for c in cols:
-                if 2 * c[h] > c[b1]:
-                    ok = False
-                    break
-            if ok and k > 1:
-                last = n - t
-                for c in body:
-                    base = c[b1] - c[h]
-                    j = b1
-                    while j < last:
-                        j2 = j + p
-                        if c[j2] - c[j] != base:
-                            ok = False
-                            break
-                        j = j2
-                    if not ok:
-                        break
-            if ok and t:
-                nt = n - t
-                for c in cols:
-                    if c[n] - c[nt] > c[b1] - c[h]:
-                        ok = False
-                        break
-            if ok:
-                yield h, p
-            b1 += 1
+    yield from _verified_periods(table, nontrivial_only)
 
 
 def shift_check(
@@ -125,14 +132,13 @@ def shift_check(
 def select_periods(
     table: PrefixParikhTable, *, nontrivial_only: bool = False
 ) -> Iterator[Period]:
-    """Every Abelian period of the word, with M/G pruning and select jumps.
+    """Every Abelian period of the word, with M/G pruning.
 
     Candidates below max(M[h], (G[h] + 1) // 2) are skipped outright, heads
     at or beyond the first blocked one are never tried, and the head
     containment test is folded into M (p >= M[h] already implies it).
-    Surviving candidates get the :func:`shift_check` walk, inlined here to
-    keep the per-candidate cost down, then the tail test. Output is
-    identical to :func:`brute_force_periods`.
+    Surviving candidates get the block walk and tail test of
+    :func:`brute_force_periods`. Output is identical to it.
     """
     n = table.n
     if n == 0:
@@ -145,38 +151,5 @@ def select_periods(
         h_blocked = m.index(-1)  # blocked heads form a suffix of the table
     except ValueError:
         h_blocked = len(m)
-    bound = [max(mh, (gh + 1) // 2) for mh, gh in zip(m, g)]
-    cols = table.prefix_counts
-    C, S = idx.C, idx.S
-    letters = range(len(cols))
-    for p in range(1, n + 1):
-        hmax = min(p - 1, (n - 2 * p) if nontrivial_only else (n - p), h_blocked - 1)
-        for h in range(hmax + 1):
-            if p < bound[h]:
-                continue
-            b1 = h + p
-            i = b1
-            ok = True
-            while i + p <= n:
-                k1 = 1 + i // p
-                limit = i + p
-                for ai in letters:
-                    c = cols[ai]
-                    r = c[h] + k1 * (c[b1] - c[h])
-                    if r and (r > C[ai + 1] - C[ai] or S[C[ai] + r - 2] > limit):
-                        ok = False
-                        break
-                if not ok:
-                    break
-                i += p
-            if not ok:
-                continue
-            t = (n - h) % p
-            if t:
-                nt = n - t
-                for c in cols:
-                    if c[n] - c[nt] > c[b1] - c[h]:
-                        ok = False
-                        break
-            if ok:
-                yield h, p
+    bound = [max(mh, (gh + 1) // 2) for mh, gh in zip(m[:h_blocked], g)]
+    yield from _verified_periods(table, nontrivial_only, bound)

@@ -6,7 +6,8 @@ w[1..i] are therefore the survivors among those of w[1..i-1], found by the
 extension test :func:`_survivors`, plus the new candidates (h, i - h) with
 2h < i whose head fits strictly in the rest of the prefix. Head containment
 is monotone in h, so those seeds are h < k for the count k that
-:func:`_fitting_heads` returns.
+:func:`_fitting_heads` returns. Each extension or head test is one
+operation on packed Parikh vectors, whatever the alphabet size.
 
 :func:`online_list` and :func:`online_array` share the per-position sweep
 :func:`_sweep` and only record it differently: the live list itself, or a
@@ -41,43 +42,43 @@ __all__ = [
 Sink = Callable[[int, "set[Period]"], None]
 
 
-def _survivors(cols: list[list[int]], i: int, periods: list[Period]) -> list[Period]:
+def _survivors(
+    table: PrefixParikhTable, i: int, periods: list[Period]
+) -> list[Period]:
     """The members of ``periods`` (periods of w[1..i-1]) that survive position i.
 
-    ``cols`` are the per-letter prefix counts. A whole list is filtered per
-    call because the test is the on-line algorithms' inner loop.
+    One packed-vector test per period: the current tail against the last
+    full block, or, on a just-completed block, the two last blocks for
+    equality. A whole list is filtered per call because the test is the
+    on-line algorithms' inner loop.
     """
+    P, guard = table.packed, table.guard
+    Pi = P[i]
     out: list[Period] = []
     for hp in periods:
         h, p = hp
         d = (i - h) % p
-        mid = i - d if d else i - p  # where the leaned-on block ends
-        lo = mid - p
         if d:
-            for col in cols:
-                if col[i] - col[mid] > col[mid] - col[lo]:
-                    break
-            else:
+            mid = i - d  # where the leaned-on block ends
+            if ((((P[mid] - P[mid - p]) | guard) - (Pi - P[mid])) & guard) == guard:
                 out.append(hp)
-        else:
-            for col in cols:
-                if col[i] - col[mid] != col[mid] - col[lo]:
-                    break
-            else:
-                out.append(hp)
+        elif Pi - P[i - p] == P[i - p] - P[i - 2 * p]:
+            out.append(hp)
     return out
 
 
-def _fitting_heads(cols: list[list[int]], i: int) -> int:
+def _fitting_heads(table: PrefixParikhTable, i: int) -> int:
     """The count k of heads h with 2h < i strictly contained in w[h+1..i].
 
     Head containment is monotone in h, so the fitting heads are h < k.
     """
+    P, guard = table.packed, table.guard
+    Pi = P[i]
     h = 0
     while 2 * h < i:
-        for col in cols:
-            if 2 * col[h] > col[i]:
-                return h
+        ph = P[h]
+        if (((Pi - ph) | guard) - ph) & guard != guard:
+            return h
         h += 1
     return h
 
@@ -89,11 +90,10 @@ def _sweep(table: PrefixParikhTable) -> Iterator[tuple[int, list[Period], int]]:
     w[1..i-1] in their previous order, then the seeds (h, i - h) for h < k
     by increasing h. Callers must not mutate it.
     """
-    cols = table.prefix_counts
     live: list[Period] = []
     for i in range(1, table.n + 1):
-        k = _fitting_heads(cols, i)
-        live = _survivors(cols, i, live)
+        k = _fitting_heads(table, i)
+        live = _survivors(table, i, live)
         live += [(h, i - h) for h in range(k)]
         yield i, live, k
 
@@ -150,10 +150,9 @@ def extract_until_ok(
     ``new_heap``, the bucket for empty tails. A heap whose root already
     survives is left untouched.
     """
-    cols = table.prefix_counts
     while heap:
         p, h = heap[0]
-        if _survivors(cols, i, [(h, p)]):
+        if _survivors(table, i, [(h, p)]):
             if (i - h) % p == 0:
                 heapq.heappush(new_heap, heapq.heappop(heap))
             return
@@ -172,14 +171,13 @@ def online_heap(table: PrefixParikhTable, sink: Sink | None = None) -> set[Perio
 
     Returns the period set of the whole word.
     """
-    cols = table.prefix_counts
     heaps: list[list[tuple[int, int]]] = []
     for i in range(1, table.n + 1):
         new_heap: list[tuple[int, int]] = []
         for heap in heaps:
             extract_until_ok(heap, i, table, new_heap)
         heaps = [heap for heap in heaps if heap]
-        for h in range(_fitting_heads(cols, i)):
+        for h in range(_fitting_heads(table, i)):
             heapq.heappush(new_heap, (i - h, h))
         if new_heap:
             heaps.append(new_heap)

@@ -13,7 +13,8 @@ Conventions used across the whole package:
 * the canonical order on periods is by ``p`` first, then ``h``
   (see :func:`period_order_key`);
 * Parikh vectors are plain tuples of per-letter counts, indexed by the
-  alphabet order.
+  alphabet order. :class:`PrefixParikhTable` stores them packed, one int
+  per prefix, and hands out tuple views through ``row`` and ``factor``.
 
 ``is_abelian_period`` is written directly against the definition and acts
 as the correctness oracle for every enumeration algorithm in this package.
@@ -167,42 +168,55 @@ def contains_strict(p: ParikhVector, q: ParikhVector) -> bool:
 
 
 class PrefixParikhTable:
-    """Parikh vectors of all prefixes of a word.
+    """Parikh vectors of all prefixes of a word, packed one int per prefix.
 
-    Stores one count row per letter (``prefix_counts[a][j]`` is the number
-    of occurrences of letter a in ``w[1..j]``), so the vector of any factor
-    comes out of two row lookups per letter. Immutable by convention: do
-    not mutate ``prefix_counts``.
+    ``packed[j]`` holds the counts of w[1..j], letter a (0-based rank) in
+    bits ``a * width`` to ``(a + 1) * width - 1``. A field is one bit wider
+    than n needs, and its top bit, a guard bit, stays 0 since no count
+    exceeds n; ``guard`` masks all the guard bits. Hence, for factor
+    vectors x and y:
+
+    * the vector of w[i+1..j] is ``packed[j] - packed[i]`` (no field
+      borrows from its neighbour);
+    * x and y are anagrams iff ``x == y``;
+    * x <= y componentwise iff ``((y | guard) - x) & guard == guard``.
+
+    The cost of a test is thus independent of the alphabet size. Immutable
+    by convention: do not mutate ``packed``.
     """
 
-    __slots__ = ("word", "n", "prefix_counts")
+    __slots__ = ("word", "n", "sigma", "width", "guard", "packed")
 
     def __init__(self, word: Word):
         text = word.text
-        cols = [
-            list(accumulate(map(letter.__eq__, text), initial=0))
-            for letter in word.alphabet.letters
-        ]
+        n = len(text)
+        sigma = word.alphabet.size
+        width = n.bit_length() + 1
+        unit = {a: 1 << (width * i) for a, i in word.alphabet._pos.items()}
         self.word = word
-        self.n = len(text)
-        self.prefix_counts = cols
+        self.n = n
+        self.sigma = sigma
+        self.width = width
+        # one guard bit at the top of every field
+        self.guard = ((1 << (width * sigma)) - 1) // ((1 << width) - 1) << (width - 1)
+        self.packed = list(accumulate(map(unit.__getitem__, text), initial=0))
 
-    @property
-    def sigma(self) -> int:
-        return len(self.prefix_counts)
+    def _unpack(self, v: int) -> ParikhVector:
+        width = self.width
+        mask = (1 << width) - 1
+        return tuple((v >> (width * a)) & mask for a in range(self.sigma))
 
     def row(self, j: int) -> ParikhVector:
         """Parikh vector of the prefix w[1..j]; row 0 is the zero vector."""
         if not 0 <= j <= self.n:
             raise ValueError(f"prefix length {j} out of range 0..{self.n}")
-        return tuple(c[j] for c in self.prefix_counts)
+        return self._unpack(self.packed[j])
 
     def factor(self, i: int, m: int) -> ParikhVector:
         """Parikh vector of the factor of length m starting at position i."""
         if i < 1 or m < 0 or i + m - 1 > self.n:
             raise ValueError(f"factor (i={i}, m={m}) out of range for n={self.n}")
-        lo, hi = i - 1, i + m - 1
-        return tuple(c[hi] - c[lo] for c in self.prefix_counts)
+        return self._unpack(self.packed[i + m - 1] - self.packed[i - 1])
 
 
 def is_abelian_period(table: PrefixParikhTable, h: int, p: int) -> bool:

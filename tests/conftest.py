@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
+
+import pytest
 
 from abelianperiods import (
     PrefixParikhTable,
@@ -71,3 +73,35 @@ def words_over(letters: str, max_len: int, min_len: int = 1):
     for length in range(min_len, max_len + 1):
         for combo in product(letters, repeat=length):
             yield "".join(combo)
+
+
+def field_boundary_words() -> list:
+    """``pytest.param(text, alphabet letters)`` cases whose packed count
+    fields are only just wide enough.
+
+    One letter's count reaches n or n - 1, for n = 2^k - 1, 2^k, 2^k + 1
+    (k = 1..7); a field holds bitlen(n) + 1 bits. Covered: unary words,
+    unary words with one foreign letter at the start, middle or end, and
+    unary words over an alphabet wider than the text, with the used letter
+    in the lowest, the middle and the highest field. Ids run-length encode
+    the text, e.g. ``a63b1a64-ab``.
+    """
+    lengths = sorted({2**k + d for k in range(1, 8) for d in (-1, 0, 1)})
+    cases = []
+    for n in lengths:
+        cases.append(("a" * n, "a"))
+        for letter in "abc":
+            cases.append((letter * n, "abc"))
+        if n >= 2:
+            mid = n // 2
+            cases.append(("b" + "a" * (n - 1), "ab"))
+            cases.append(("a" * mid + "b" + "a" * (n - 1 - mid), "ab"))
+            cases.append(("a" * (n - 1) + "b", "ab"))
+    return [
+        pytest.param(
+            text,
+            letters,
+            id="".join(f"{a}{len(list(run))}" for a, run in groupby(text)) + "-" + letters,
+        )
+        for text, letters in cases
+    ]

@@ -184,6 +184,14 @@ class TestVerifyCommand:
     def test_negative_max_len_is_a_usage_error(self, cli):
         assert cli("verify", "--max-len", "-2")[0] == 2
 
+    def test_zero_max_len_is_a_usage_error(self, cli):
+        code, out, _ = cli("verify", "--max-len", "0")
+        assert code == 2 and "verified" not in out
+
+    def test_zero_random_count_is_a_usage_error(self, cli):
+        code, out, _ = cli("verify", "--random", "0", "--len", "5")
+        assert code == 2 and "verified" not in out
+
     def test_detects_an_injected_fault(self, cli, monkeypatch):
         from abelianperiods.offline import select_periods as real
 

@@ -15,7 +15,7 @@ from abelianperiods import (
     select_periods,
     shift_check,
 )
-from conftest import oracle_periods, words_over
+from conftest import field_boundary_words, oracle_periods, recount_periods, words_over
 
 GOLDEN = "abaababa"
 GOLDEN_PERIODS = [
@@ -73,6 +73,15 @@ class TestBothEnumerators:
             full = [hp for hp in enumerate_periods(table) if hp[0] + 2 * hp[1] <= n]
             capped = list(enumerate_periods(table, nontrivial_only=True))
             assert capped == full, text
+
+
+@pytest.mark.parametrize("text, letters", field_boundary_words())
+def test_packed_field_boundaries(text, letters):
+    """Counts that fill a packed field, against the recount checker."""
+    expected = recount_periods(text)
+    t = table_of(text, Alphabet(letters))
+    assert list(brute_force_periods(t)) == expected
+    assert list(select_periods(t)) == expected
 
 
 class TestLemmaSuperset:

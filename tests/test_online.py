@@ -23,7 +23,7 @@ from abelianperiods import (
     select_periods,
     table_final_periods,
 )
-from conftest import oracle_periods, words_over
+from conftest import field_boundary_words, oracle_periods, recount_periods, words_over
 
 GOLDEN = "abaababa"
 
@@ -200,6 +200,15 @@ class TestDispatch:
     def test_sink_needs_an_online_algorithm(self, algo, no_table):
         with pytest.raises(ValueError, match="on-line"):
             abelian_periods(GOLDEN, algo, sink=lambda i, s: None)
+
+
+@pytest.mark.parametrize("text, letters", field_boundary_words())
+def test_packed_field_boundaries(text, letters):
+    """Counts that fill a packed field, against the recount checker."""
+    expected = recount_periods(text)
+    word = Word(text, Alphabet(letters))
+    for algo in ONLINE_ALGOS:
+        assert abelian_periods(word, algo) == expected, algo
 
 
 class TestPrefixProperties:

@@ -2,23 +2,33 @@
 
 Letters are drawn from all of Unicode except surrogates, so alphabets wider
 than 26 letters, non-ASCII letters and alphabets wider than the text all
-occur. Every enumeration is checked against the recount checker and the
+occur. All five enumerators, the on-line per-prefix sets and the packed
+prefix table are checked against recounts of raw slices, and the
 non-deducible filter against its pairwise oracle.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelianperiods import Alphabet, Word, abelian_periods, filter_nondeducible
+from abelianperiods import (
+    ALGOS,
+    ONLINE_ALGOS,
+    Alphabet,
+    PrefixParikhTable,
+    Word,
+    abelian_periods,
+    filter_nondeducible,
+    parikh,
+)
 from conftest import pairwise_nondeducible, recount_periods
 
 letters = st.characters(blacklist_categories=("Cs",))
 
 
 @st.composite
-def words_with_alphabets(draw):
-    """A text over 1..60 distinct letters and an alphabet of up to ten more."""
-    sigma = draw(st.integers(1, 60))
+def words_with_alphabets(draw, max_sigma=60):
+    """A text over 1..max_sigma distinct letters and an alphabet of up to ten more."""
+    sigma = draw(st.integers(1, max_sigma))
     alphabet = draw(st.lists(letters, min_size=sigma, max_size=sigma + 10, unique=True))
     used = alphabet[:sigma]
     extra = draw(st.lists(st.sampled_from(used), max_size=20))
@@ -43,10 +53,26 @@ def valid_pair_lists(draw):
 def test_periods_and_filter_over_arbitrary_alphabets(case):
     text, alphabet = case
     n = len(text)
+    word = Word(text, alphabet)
+    table = PrefixParikhTable(word)
+    for j in range(n + 1):
+        assert table.row(j) == parikh(Word(text[:j], alphabet))
     expected = recount_periods(text)
-    assert abelian_periods(Word(text, alphabet)) == expected
+    for algo in ALGOS:
+        assert abelian_periods(word, algo) == expected, algo
     assert abelian_periods(text, "online-heap") == expected
     assert filter_nondeducible(expected, n) == pairwise_nondeducible(expected, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(words_with_alphabets(max_sigma=20))
+def test_per_prefix_sets_over_arbitrary_alphabets(case):
+    text, alphabet = case
+    expected = [set(recount_periods(text[:i])) for i in range(1, len(text) + 1)]
+    for algo in ONLINE_ALGOS:
+        seen = []
+        abelian_periods(Word(text, alphabet), algo, sink=lambda i, periods: seen.append(periods))
+        assert seen == expected, algo
 
 
 @settings(max_examples=100, deadline=None)

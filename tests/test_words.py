@@ -14,7 +14,7 @@ from abelianperiods import (
     parikh,
     periods_by_definition,
 )
-from conftest import recount_is_period, words_over
+from conftest import field_boundary_words, recount_is_period, words_over
 
 
 def table_of(text, alphabet=None):
@@ -140,6 +140,32 @@ class TestFactorParikh:
             delta = tuple(x - y for x, y in zip(t.row(j), t.row(j - 1)))
             unit = tuple(int(a == w.symbol(j)) for a in w.alphabet)
             assert delta == unit
+
+
+class TestPackedFieldBoundaries:
+    """Counts that fill a packed field: row and factor against parikh."""
+
+    @pytest.mark.parametrize("text, letters", field_boundary_words())
+    def test_rows_and_factors_match_parikh(self, text, letters):
+        alphabet = Alphabet(letters)
+        t = table_of(text, alphabet)
+        n = len(text)
+        for j in range(n + 1):
+            assert t.row(j) == parikh(Word(text[:j], alphabet)), j
+        for i in {1, 2, n // 2 + 1, n} & set(range(1, n + 1)):
+            for m in range(n - i + 2):
+                expected = parikh(Word(text[i - 1 : i - 1 + m], alphabet))
+                assert t.factor(i, m) == expected, (i, m)
+
+    @pytest.mark.parametrize("text, letters", field_boundary_words())
+    def test_packed_containment_matches_tuples(self, text, letters):
+        t = table_of(text, Alphabet(letters))
+        guard = t.guard
+        rows = [t.row(j) for j in range(t.n + 1)]
+        for x, xs in zip(t.packed, rows):
+            for y, ys in zip(t.packed, rows):
+                packed_leq = ((y | guard) - x) & guard == guard
+                assert packed_leq == contains_weak(xs, ys), (xs, ys)
 
 
 class TestIsAbelianPeriod:
