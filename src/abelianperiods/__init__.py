@@ -7,8 +7,11 @@ Quick start::
     [(1, 2), (0, 3), (2, 3)]
 
 Five interchangeable enumerators are available (two off-line, three
-on-line); see :func:`abelian_periods` and the module docs.
+on-line); see :func:`abelian_periods`, its lazy form
+:func:`iter_abelian_periods`, and the module docs.
 """
+
+from typing import Iterator
 
 from .analysis import (
     PeriodStats,
@@ -75,6 +78,7 @@ __all__ = [
     "filter_nondeducible",
     "filter_nontrivial",
     "is_abelian_period",
+    "iter_abelian_periods",
     "online_array",
     "online_heap",
     "online_list",
@@ -96,6 +100,42 @@ ONLINE_ALGOS = ("online-array", "online-list", "online-heap")
 ALGOS = ("brute", "select") + ONLINE_ALGOS
 
 
+def iter_abelian_periods(
+    word,
+    algo: str = "select",
+    *,
+    nontrivial_only: bool = False,
+    sink: "Sink | None" = None,
+) -> "Iterator[Period]":
+    """The list of :func:`abelian_periods`, as an iterator in the same order.
+
+    Arguments are checked on the call, not on the first ``next``. ``brute``
+    and ``select`` return their generators, so stopping early stops the
+    enumeration; the on-line algorithms run the whole word (and ``sink``)
+    before this returns.
+    """
+    if algo not in ALGOS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    if sink is not None and algo not in ONLINE_ALGOS:
+        raise ValueError(f"{algo!r} is not an on-line algorithm and takes no sink")
+    if isinstance(word, str):
+        word = Word(word)
+    table = PrefixParikhTable(word)
+    # module-global lookups, so that patching or wrapping an enumerator on
+    # this package reaches every call made through here
+    if algo == "brute":
+        return brute_force_periods(table, nontrivial_only=nontrivial_only)
+    if algo == "select":
+        return select_periods(table, nontrivial_only=nontrivial_only)
+    if algo == "online-array":
+        result = table_final_periods(online_array(table, sink), table.n)
+    elif algo == "online-list":
+        result = sorted(online_list(table, sink), key=period_order_key)
+    else:
+        result = sorted(online_heap(table, sink), key=period_order_key)
+    return iter(filter_nontrivial(result, table.n) if nontrivial_only else result)
+
+
 def abelian_periods(
     word,
     algo: str = "select",
@@ -110,24 +150,8 @@ def abelian_periods(
     off-line algorithms enumerate just those. ``sink(i, periods)`` receives
     the period set of every prefix w[1..i]; only the on-line algorithms take
     one. An unknown ``algo`` or a sink for an off-line one raises ValueError.
+    :func:`iter_abelian_periods` gives the same periods one at a time.
     """
-    if algo not in ALGOS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    if sink is not None and algo not in ONLINE_ALGOS:
-        raise ValueError(f"{algo!r} is not an on-line algorithm and takes no sink")
-    if isinstance(word, str):
-        word = Word(word)
-    table = PrefixParikhTable(word)
-    # module-global lookups, so that patching or wrapping an enumerator on
-    # this package reaches every call made through here
-    if algo == "brute":
-        return list(brute_force_periods(table, nontrivial_only=nontrivial_only))
-    if algo == "select":
-        return list(select_periods(table, nontrivial_only=nontrivial_only))
-    if algo == "online-array":
-        result = table_final_periods(online_array(table, sink), table.n)
-    elif algo == "online-list":
-        result = sorted(online_list(table, sink), key=period_order_key)
-    else:
-        result = sorted(online_heap(table, sink), key=period_order_key)
-    return filter_nontrivial(result, table.n) if nontrivial_only else result
+    return list(
+        iter_abelian_periods(word, algo, nontrivial_only=nontrivial_only, sink=sink)
+    )

@@ -11,7 +11,8 @@ Four subcommands:
   enumeration on a corpus of words and report the first disagreement.
 * ``bench``    - CSV timing comparison over seeded random words.
 
-Exit codes: 0 success, 1 data or verification failure, 2 usage error.
+Exit codes: 0 success, 1 data or verification failure, 2 usage error,
+141 (128 + SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -19,16 +20,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import statistics
 import sys
 import time
-from itertools import product
-from typing import Iterator
+from itertools import islice, product
+from typing import Iterable, Iterator
 
-from . import ALGOS, ONLINE_ALGOS
+from . import ALGOS, ONLINE_ALGOS, iter_abelian_periods
 # the library's one dispatch; perfbench's traced pass calls it under this name
 from . import abelian_periods as run_algorithm
-from .analysis import filter_nondeducible, filter_nontrivial, smallest_period
+from .analysis import filter_nondeducible, filter_nontrivial
 from .generators import cyclic_word, fibonacci_word, random_word, spike_word
 from .words import (
     Alphabet,
@@ -40,6 +42,8 @@ from .words import (
 )
 
 FILTERS = ("all", "nontrivial", "nondeducible")
+# 128 + SIGPIPE: what a shell reports for a command killed by a closed pipe
+EXIT_BROKEN_PIPE = 141
 
 
 def cross_check_word(word: Word, *, check_prefixes: bool = True) -> str | None:
@@ -84,6 +88,10 @@ def _apply_filter(periods: list[Period], filter_name: str, n: int) -> list[Perio
     return periods
 
 
+def _write_periods(periods: Iterable[Period]) -> None:
+    sys.stdout.writelines(f"{h} {p}\n" for h, p in periods)
+
+
 def _input_word(args) -> Word:
     if args.word is not None:
         return Word(args.word)
@@ -105,14 +113,20 @@ def cmd_periods(args) -> int:
             args.parser.error("--prefixes cannot be combined with --smallest, --count or --json")
 
         def show(i: int, periods: set[Period]) -> None:
-            print(f"# prefix {i}")
-            shown = _apply_filter(sorted(periods, key=period_order_key), args.filter_name, i)
-            for h, p in shown:
-                print(f"{h} {p}")
+            sys.stdout.write(f"# prefix {i}\n")
+            _write_periods(
+                _apply_filter(sorted(periods, key=period_order_key), args.filter_name, i)
+            )
 
         run_algorithm(word, args.algo, sink=show)
         return 0
-    periods = _apply_filter(run_algorithm(word, args.algo), args.filter_name, len(word))
+    # streamed in canonical order; only the non-deducible filter and the JSON
+    # document need the whole list
+    periods = iter_abelian_periods(
+        word, args.algo, nontrivial_only=args.filter_name == "nontrivial"
+    )
+    if args.filter_name == "nondeducible":
+        periods = filter_nondeducible(periods, len(word))
     if args.as_json:
         doc = {
             "word_length": len(word),
@@ -122,14 +136,12 @@ def cmd_periods(args) -> int:
         }
         print(json.dumps(doc))
     elif args.count:
-        print(len(periods))
+        print(sum(1 for _ in periods))
     elif args.smallest:
-        hp = smallest_period(periods)
-        if hp is not None:
-            print(f"{hp[0]} {hp[1]}")
+        # the first period in canonical order is the smallest
+        _write_periods(islice(periods, 1))
     else:
-        for h, p in periods:
-            print(f"{h} {p}")
+        _write_periods(periods)
     return 0
 
 
@@ -318,7 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``); point stdout at devnull so the
+        # flush at interpreter exit cannot raise again and print a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,27 @@
 """Command-line surface: flags, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
-from abelianperiods.cli import ALGOS, main
+import abelianperiods
+from abelianperiods import (
+    ONLINE_ALGOS,
+    abelian_periods,
+    cyclic_word,
+    fibonacci_word,
+    filter_nondeducible,
+    filter_nontrivial,
+    period_order_key,
+    smallest_period,
+    spike_word,
+)
+from abelianperiods.cli import ALGOS, EXIT_BROKEN_PIPE, FILTERS, build_parser, main
+from conftest import words_over
 
 GOLDEN = "abaababa"
 
@@ -125,6 +142,132 @@ class TestPeriodsCommand:
             "periods", "--word", "aba", "--algo", "online-heap", "--prefixes", "--count"
         )
         assert code == 2
+
+
+def _listing(periods) -> str:
+    return "".join(f"{h} {p}\n" for h, p in periods)
+
+
+def _filtered(periods, filter_name, n):
+    if filter_name == "nontrivial":
+        return filter_nontrivial(periods, n)
+    if filter_name == "nondeducible":
+        return filter_nondeducible(periods, n)
+    return periods
+
+
+DIFFERENTIAL_WORDS = [
+    *words_over("ab", 8),
+    *(fibonacci_word(n).text for n in (13, 21, 34, 55)),
+    *(spike_word(k).text for k in (1, 4, 10)),
+    *(cyclic_word(sigma, n).text for sigma, n in ((3, 12), (4, 32), (5, 35))),
+]
+
+
+class TestStreamedOutput:
+    """Every output mode against the whole-list formula: enumerate with
+    ``abelian_periods``, filter the list, then count it, take its minimum
+    or print it."""
+
+    @pytest.fixture
+    def periods_cmd(self, capsys):
+        # one parser for the thousands of runs below: building it costs ten
+        # times what parsing and running a short word do
+        parser = build_parser()
+
+        def run(*argv):
+            args = parser.parse_args(["periods", *argv])
+            code = args.func(args)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        return run
+
+    @pytest.mark.parametrize("filter_name", FILTERS)
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_every_mode_matches_the_list_formula(self, periods_cmd, algo, filter_name):
+        for text in DIFFERENTIAL_WORDS:
+            n = len(text)
+            periods = _filtered(abelian_periods(text, algo), filter_name, n)
+            hp = smallest_period(periods)
+            doc = {"word_length": n, "algo": algo, "filter": filter_name,
+                   "periods": [list(hp) for hp in periods]}
+            expected = {
+                (): _listing(periods),
+                ("--count",): f"{len(periods)}\n",
+                ("--smallest",): "" if hp is None else _listing([hp]),
+                ("--json",): json.dumps(doc) + "\n",
+            }
+            for mode, want in expected.items():
+                got = periods_cmd("--word", text, "--algo", algo,
+                                  "--filter", filter_name, *mode)
+                assert got == (0, want, ""), (text, mode)
+
+    @pytest.mark.parametrize("filter_name", FILTERS)
+    @pytest.mark.parametrize("algo", ONLINE_ALGOS)
+    def test_prefix_listing_matches_the_sink_sets(self, periods_cmd, algo, filter_name):
+        for text in DIFFERENTIAL_WORDS:
+            blocks = []
+
+            def sink(i, periods):
+                shown = sorted(periods, key=period_order_key)
+                blocks.append(f"# prefix {i}\n" + _listing(_filtered(shown, filter_name, i)))
+
+            abelian_periods(text, algo, sink=sink)
+            got = periods_cmd("--word", text, "--algo", algo,
+                              "--filter", filter_name, "--prefixes")
+            assert got == (0, "".join(blocks), ""), text
+
+    def test_smallest_pulls_one_period(self, cli, monkeypatch):
+        text = fibonacci_word(233).text
+        smallest = smallest_period(abelian_periods(text))
+        real = abelianperiods.select_periods
+        pulled = []
+
+        def counting(table, **kwargs):
+            for hp in real(table, **kwargs):
+                pulled.append(hp)
+                yield hp
+
+        monkeypatch.setattr("abelianperiods.select_periods", counting)
+        code, out, _ = cli("periods", "--word", text, "--smallest")
+        assert code == 0 and out == _listing([smallest])
+        assert pulled == [smallest]
+
+    def test_count_holds_no_list(self, cli):
+        text = fibonacci_word(987).text
+        tracemalloc.start()
+        try:
+            periods = abelian_periods(text)
+            _, list_peak = tracemalloc.get_traced_memory()
+            del periods
+            tracemalloc.reset_peak()
+            code, out, _ = cli("periods", "--word", text, "--count")
+            _, count_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and int(out) > 100_000
+        assert count_peak < list_peak / 4, (count_peak, list_peak)
+
+    def test_closed_stdout_ends_quietly(self):
+        # about 90,000 periods, far more than a pipe buffer holds, so the
+        # writer is still running when the reader goes away
+        src = os.path.dirname(os.path.dirname(abelianperiods.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "abelianperiods.cli", "periods", "--word", "a" * 600],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert child.stdout.readline() == b"0 1\n"
+            child.stdout.close()
+            err = child.stderr.read()
+            assert child.wait(timeout=60) == EXIT_BROKEN_PIPE
+        finally:
+            child.kill()
+            child.wait()
+            child.stderr.close()
+        assert err == b""
 
 
 class TestGenerateCommand:

@@ -15,6 +15,7 @@ from abelianperiods import (
     extract_until_ok,
     filter_nontrivial,
     is_abelian_period,
+    iter_abelian_periods,
     online_array,
     online_heap,
     online_list,
@@ -200,6 +201,16 @@ class TestDispatch:
     def test_sink_needs_an_online_algorithm(self, algo, no_table):
         with pytest.raises(ValueError, match="on-line"):
             abelian_periods(GOLDEN, algo, sink=lambda i, s: None)
+
+    # the lazy form must fail when called, not when first advanced
+    def test_lazy_form_rejects_an_unknown_algorithm_on_call(self, no_table):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            iter_abelian_periods(GOLDEN, "quick")
+
+    @pytest.mark.parametrize("algo", ["brute", "select"])
+    def test_lazy_form_rejects_a_sink_on_call(self, algo, no_table):
+        with pytest.raises(ValueError, match="on-line"):
+            iter_abelian_periods(GOLDEN, algo, sink=lambda i, s: None)
 
 
 @pytest.mark.parametrize("text, letters", field_boundary_words())
