@@ -42,6 +42,10 @@ from .words import (
 )
 
 FILTERS = ("all", "nontrivial", "nondeducible")
+# periods per write: one write(2) per line would cost more than the listing
+# when stdout is unbuffered (PYTHONUNBUFFERED=1), while the first byte still
+# comes out after at most one batch
+BATCH = 1024
 # 128 + SIGPIPE: what a shell reports for a command killed by a closed pipe
 EXIT_BROKEN_PIPE = 141
 
@@ -88,8 +92,16 @@ def _apply_filter(periods: list[Period], filter_name: str, n: int) -> list[Perio
     return periods
 
 
+def _write_joined(pieces: Iterator[str], sep: str = "") -> None:
+    """Write ``sep.join(pieces)`` to stdout, ``BATCH`` pieces per write."""
+    lead = ""
+    while batch := sep.join(islice(pieces, BATCH)):
+        sys.stdout.write(lead + batch)
+        lead = sep
+
+
 def _write_periods(periods: Iterable[Period]) -> None:
-    sys.stdout.writelines(f"{h} {p}\n" for h, p in periods)
+    _write_joined(f"{h} {p}\n" for h, p in periods)
 
 
 def _input_word(args) -> Word:
@@ -120,21 +132,20 @@ def cmd_periods(args) -> int:
 
         run_algorithm(word, args.algo, sink=show)
         return 0
-    # streamed in canonical order; only the non-deducible filter and the JSON
-    # document need the whole list
+    # streamed in canonical order; only the non-deducible filter needs the
+    # whole list
     periods = iter_abelian_periods(
         word, args.algo, nontrivial_only=args.filter_name == "nontrivial"
     )
     if args.filter_name == "nondeducible":
         periods = filter_nondeducible(periods, len(word))
     if args.as_json:
-        doc = {
-            "word_length": len(word),
-            "algo": args.algo,
-            "filter": args.filter_name,
-            "periods": [list(hp) for hp in periods],
-        }
-        print(json.dumps(doc))
+        # the bytes of print(json.dumps(document)), written in pieces: the
+        # other fields, then the period array in batches, never built whole
+        fields = {"word_length": len(word), "algo": args.algo, "filter": args.filter_name}
+        sys.stdout.write(json.dumps(fields)[:-1] + ', "periods": [')
+        _write_joined((f"[{h}, {p}]" for h, p in periods), ", ")
+        sys.stdout.write("]}\n")
     elif args.count:
         print(sum(1 for _ in periods))
     elif args.smallest:

@@ -5,7 +5,9 @@
 """
 
 import csv
+import io
 import time
+from contextlib import redirect_stdout
 
 from abelianperiods import (
     Alphabet,
@@ -21,6 +23,7 @@ from abelianperiods import (
     online_heap,
     online_list,
     select,
+    select_periods,
     smallest_period,
     spike_word,
 )
@@ -102,9 +105,12 @@ def test_criterion_5_fibonacci_counts():
     assert total == 3_453_511
     assert nontrivial == 538_739
     assert elapsed < 60.0, f"took {elapsed:.1f} s"
+    # select's one-block periods come from its per-head intervals, not tests
+    one_block = sum(1 for h, p in select_periods(table) if h + 2 * p > 4181)
+    assert one_block == 2_914_772
     print(
         f"PASS 5: fibonacci(4181) has 3,453,511 periods, 538,739 non-trivial "
-        f"({elapsed:.1f} s)"
+        f"({elapsed:.1f} s); select finds the 2,914,772 trivial ones"
     )
 
 
@@ -117,7 +123,30 @@ def test_criterion_6_spike_counts():
             nontrivial += 1
     assert total == 2_914_854
     assert nontrivial == 0
-    print("PASS 6: spike(2090) has 2,914,854 periods, none non-trivial")
+    one_block = sum(1 for h, p in select_periods(table) if h + 2 * p > 4181)
+    assert one_block == 2_914_854
+    print(
+        "PASS 6: spike(2090) has 2,914,854 periods, none non-trivial; "
+        "select finds them all"
+    )
+
+
+def test_fibonacci_prefix_smallest_periods():
+    """Fici et al., "Abelian powers and repetitions in Sturmian words"
+    (TCS 2016): with F_0 = F_1 = 1, the Fibonacci prefix of length F_j,
+    j >= 3, has smallest Abelian period F_(j // 2) when j = 0, 1, 2 (mod 4)
+    and F_(1 + j // 2) when j = 3 (mod 4). Checked through the streamed
+    ``periods --smallest`` up to F_18 = 4181."""
+    fib = [1, 1]
+    while len(fib) < 19:
+        fib.append(fib[-1] + fib[-2])
+    for j in range(3, 19):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["periods", "--word", fibonacci_word(fib[j]).text, "--smallest"])
+        h, p = map(int, out.getvalue().split())
+        assert code == 0 and p == fib[j // 2 + (j % 4 == 3)], (j, h, p)
+    print("PASS anchor: Fibonacci prefixes of length F_3..F_18 have the known smallest periods")
 
 
 def test_criterion_7a_binary_words_agree():

@@ -170,10 +170,13 @@ class TestStreamedOutput:
     or print it."""
 
     @pytest.fixture
-    def periods_cmd(self, capsys):
+    def periods_cmd(self, capsys, monkeypatch):
         # one parser for the thousands of runs below: building it costs ten
         # times what parsing and running a short word do
         parser = build_parser()
+        # output is written in batches of this many periods; a small batch
+        # makes most listings below cross batch boundaries
+        monkeypatch.setattr("abelianperiods.cli.BATCH", 3)
 
         def run(*argv):
             args = parser.parse_args(["periods", *argv])

@@ -14,7 +14,9 @@ from abelianperiods import (
     random_word,
     select_periods,
     shift_check,
+    spike_word,
 )
+from abelianperiods.offline import _one_block_starts, _select_bound
 from conftest import field_boundary_words, oracle_periods, recount_periods, words_over
 
 GOLDEN = "abaababa"
@@ -79,9 +81,49 @@ class TestBothEnumerators:
 def test_packed_field_boundaries(text, letters):
     """Counts that fill a packed field, against the recount checker."""
     expected = recount_periods(text)
+    capped = [(h, p) for h, p in expected if h + 2 * p <= len(text)]
     t = table_of(text, Alphabet(letters))
-    assert list(brute_force_periods(t)) == expected
-    assert list(select_periods(t)) == expected
+    for enumerate_periods in (brute_force_periods, select_periods):
+        assert list(enumerate_periods(t)) == expected, enumerate_periods
+        assert list(enumerate_periods(t, nontrivial_only=True)) == capped, enumerate_periods
+
+
+class TestOneBlockStarts:
+    @pytest.mark.parametrize("letters,max_len", [("ab", 11), ("abc", 7)])
+    def test_least_one_block_period(self, letters, max_len):
+        """starts[h] is the least one-block p, or n - h + 1, and every
+        larger one-block p is a period too."""
+        alphabet = Alphabet(letters)
+        for text in words_over(letters, max_len):
+            table = table_of(text, alphabet)
+            n = len(text)
+            starts = _one_block_starts(table, _select_bound(table.word))
+            for h, start in enumerate(starts):
+                one_block = range(max(h + 1, (n - h) // 2 + 1), n - h + 1)
+                periods = [p for p in one_block if is_abelian_period(table, h, p)]
+                assert start == (periods[0] if periods else n - h + 1), (text, h)
+                assert periods == list(range(start, n - h + 1)), (text, h)
+
+    def test_first_period_comes_before_the_multi_block_scan_ends(self):
+        """A spike word has no multi-block period (h + 2p <= n), and its
+        smallest period has p near n / 3. Handling both head ranges per p,
+        select yields it before reading the multi-block candidates of the
+        larger p, which the nontrivial_only run reads in full."""
+
+        class ReadCounter(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                self.reads += 1
+                return super().__getitem__(i)
+
+        table = PrefixParikhTable(spike_word(500))
+        table.packed = ReadCounter(table.packed)
+        assert list(select_periods(table, nontrivial_only=True)) == []
+        multi_block_reads = table.packed.reads
+        table.packed = ReadCounter(table.packed)
+        next(select_periods(table))
+        assert table.packed.reads < multi_block_reads, (table.packed.reads, multi_block_reads)
 
 
 class TestLemmaSuperset:

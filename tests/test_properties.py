@@ -58,8 +58,10 @@ def test_periods_and_filter_over_arbitrary_alphabets(case):
     for j in range(n + 1):
         assert table.row(j) == parikh(Word(text[:j], alphabet))
     expected = recount_periods(text)
+    capped = [(h, p) for h, p in expected if h + 2 * p <= n]
     for algo in ALGOS:
         assert abelian_periods(word, algo) == expected, algo
+        assert abelian_periods(word, algo, nontrivial_only=True) == capped, algo
     assert abelian_periods(text, "online-heap") == expected
     assert filter_nondeducible(expected, n) == pairwise_nondeducible(expected, n)
 
