@@ -11,6 +11,7 @@ from abelianperiods import (
     PrefixParikhTable,
     Word,
     cutting_positions,
+    is_abelian_period,
     periods_by_definition,
 )
 
@@ -50,6 +51,60 @@ def recount_periods(text: str) -> list[tuple[int, int]]:
 def oracle_periods(text: str) -> tuple[tuple[int, int], ...]:
     """Period tuple of ``text`` via the library's definition-level oracle."""
     return tuple(periods_by_definition(PrefixParikhTable(Word(text))))
+
+
+@lru_cache(maxsize=None)
+def prefix_lifetimes(text: str) -> dict[tuple[int, int], int]:
+    """The last prefix length having each candidate (h, p) of ``text``, or -1.
+
+    Covers every pair with h < p and h + p <= n, the keys of an
+    ``online_array`` table; -1 marks a pair that is no period of
+    w[1..h+p]. A period that fails on a prefix fails on every longer one
+    (its failing head, block or tail only grows), so the prefixes having
+    (h, p) form an interval starting at h + p, whose end is found by binary
+    search with ``is_abelian_period``: O(n² log n) definition checks where
+    testing every prefix would take O(n³). Callers must not mutate the
+    result.
+    """
+    word = Word(text)
+    n = len(text)
+    tables = [PrefixParikhTable(word.prefix(i)) for i in range(n + 1)]
+    last = {}
+    for p in range(1, n + 1):
+        for h in range(min(p - 1, n - p) + 1):
+            lo = h + p
+            if not is_abelian_period(tables[lo], h, p):
+                last[h, p] = -1
+                continue
+            hi = n
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if is_abelian_period(tables[mid], h, p):
+                    lo = mid
+                else:
+                    hi = mid - 1
+            last[h, p] = lo
+    return last
+
+
+def prefix_sets(text: str):
+    """Yield ``(i, periods)`` for every prefix w[1..i] of ``text``, i = 1..n.
+
+    Built from :func:`prefix_lifetimes`: (h, p) is a period of w[1..i]
+    exactly when h + p <= i <= its last prefix. Each set is a fresh copy.
+    """
+    n = len(text)
+    enter = [[] for _ in range(n + 1)]
+    leave = [[] for _ in range(n + 2)]
+    for (h, p), last in prefix_lifetimes(text).items():
+        if last >= 0:
+            enter[h + p].append((h, p))
+            leave[last + 1].append((h, p))
+    live = set()
+    for i in range(1, n + 1):
+        live.difference_update(leave[i])
+        live.update(enter[i])
+        yield i, live.copy()
 
 
 def pairwise_nondeducible(periods, n: int) -> list[tuple[int, int]]:

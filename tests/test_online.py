@@ -1,9 +1,11 @@
 """On-line algorithms: per-prefix period sets by array, list and heaps."""
 
 import heapq
+from collections import Counter
 
 import pytest
 
+import abelianperiods.online
 from abelianperiods import (
     ALGOS,
     ONLINE_ALGOS,
@@ -13,6 +15,7 @@ from abelianperiods import (
     abelian_periods,
     contains_weak,
     extract_until_ok,
+    fibonacci_word,
     filter_nontrivial,
     is_abelian_period,
     iter_abelian_periods,
@@ -24,7 +27,14 @@ from abelianperiods import (
     select_periods,
     table_final_periods,
 )
-from conftest import field_boundary_words, oracle_periods, recount_periods, words_over
+from conftest import (
+    field_boundary_words,
+    oracle_periods,
+    prefix_lifetimes,
+    prefix_sets,
+    recount_periods,
+    words_over,
+)
 
 GOLDEN = "abaababa"
 
@@ -137,6 +147,22 @@ class TestExtractUntilOk:
         extract_until_ok(heap, 5, table_of("ababa"), fresh)
         assert heap == [] and fresh == [(2, 1)]
 
+    @pytest.mark.parametrize(
+        "heap, i, text, popped",
+        [
+            pytest.param([(2, 1)], 5, "abcbab", [(2, 1)], id="every-member-fails"),
+            pytest.param([(2, 1), (3, 0)], 5, "abcbab", [(2, 1)], id="failing-then-passing"),
+            pytest.param([(3, 0)], 5, "abcbab", [], id="single-passing-root"),
+            pytest.param([(2, 1)], 5, "ababa", [], id="completed-block-migrates"),
+            # (1, 2) and (0, 3) die at 5 in aabbb; (1, 3) survives
+            pytest.param([(2, 1), (3, 0), (3, 1)], 5, "aabbb", [(2, 1), (3, 0)], id="two-pops"),
+        ],
+    )
+    def test_returns_the_popped_entries(self, heap, i, text, popped):
+        # the popped entries are the bucket's deaths, in pop order
+        heapq.heapify(heap)
+        assert extract_until_ok(heap, i, table_of(text), []) == popped
+
 
 @pytest.mark.parametrize("algorithm", [online_array, online_list, online_heap])
 class TestPerPrefixSets:
@@ -162,6 +188,88 @@ class TestPerPrefixSets:
             table = table_of(text, alphabet)
             for i, got in collect_prefix_sets(algorithm, table):
                 assert got == set(oracle_periods(text[:i])), (text, i)
+
+
+class TestPrefixOracle:
+    # the oracle of the events and of the tests at scale, against the definition
+    @pytest.mark.parametrize("letters,max_len", [("ab", 9), ("abc", 6)])
+    def test_matches_definition_on_every_prefix(self, letters, max_len):
+        for text in words_over(letters, max_len):
+            expected = [(i, set(oracle_periods(text[:i]))) for i in range(1, len(text) + 1)]
+            assert list(prefix_sets(text)) == expected, text
+            for (h, p), last in prefix_lifetimes(text).items():
+                if last == -1:
+                    assert (h, p) not in oracle_periods(text[: h + p]), (text, h, p)
+
+
+@pytest.fixture
+def record_events(monkeypatch):
+    """Run an on-line algorithm with a sink and return the born/died events
+    its sink adapter was handed, as ``(i, born, died)`` triples."""
+
+    def run(algorithm, table):
+        events = []
+
+        def recorder(sink):
+            return lambda i, born, died: events.append((i, list(born), list(died)))
+
+        monkeypatch.setattr(abelianperiods.online, "_running_set", recorder)
+        algorithm(table, lambda i, periods: None)
+        return events
+
+    return run
+
+
+@pytest.mark.parametrize("algorithm", [online_array, online_list, online_heap])
+class TestEvents:
+    @pytest.mark.parametrize("letters,max_len", [("ab", 9), ("abc", 6)])
+    def test_events_fold_into_every_prefix_set(
+        self, algorithm, record_events, letters, max_len
+    ):
+        alphabet = Alphabet(letters)
+        for text in words_over(letters, max_len):
+            last = prefix_lifetimes(text)
+            expected = [periods for _, periods in prefix_sets(text)]
+            events = record_events(algorithm, table_of(text, alphabet))
+            assert [i for i, _, _ in events] == list(range(1, len(text) + 1)), text
+            running = set()
+            for i, born, died in events:
+                # every birth is a seed; every death is of a live pair, at the
+                # first prefix that lacks it
+                assert all(h + p == i for h, p in born), (text, i, born)
+                assert all(last[hp] == i - 1 for hp in died), (text, i, died)
+                assert running.issuperset(died), (text, i, died)
+                running.difference_update(died)
+                running.update(born)
+                assert running == expected[i - 1], (text, i)
+            deaths = Counter(hp for _, _, died in events for hp in died)
+            assert all(count == 1 for count in deaths.values()), text
+
+
+# n = 300, beyond any exhaustive corpus: the per-prefix sets of a binary
+# word hold over a million members
+SCALE_WORDS = [
+    pytest.param(random_word(2, 300, seed=7).text, id="random-2-300"),
+    pytest.param(random_word(16, 300, seed=7).text, id="random-16-300"),
+    pytest.param(fibonacci_word(300).text, id="fibonacci-300"),
+]
+
+
+@pytest.mark.parametrize("text", SCALE_WORDS)
+class TestAtScale:
+    @pytest.mark.parametrize("algorithm", [online_array, online_list, online_heap])
+    def test_every_sink_set(self, algorithm, text):
+        expected = prefix_sets(text)
+
+        def check(i, got):
+            j, want = next(expected)
+            assert i == j and got == want, (i, sorted(got ^ want)[:10])
+
+        algorithm(table_of(text), check)
+        assert next(expected, None) is None
+
+    def test_whole_array_table(self, text):
+        assert online_array(table_of(text)) == prefix_lifetimes(text)
 
 
 class TestDispatch:
