@@ -120,6 +120,8 @@ def iter_abelian_periods(
         raise ValueError(f"{algo!r} is not an on-line algorithm and takes no sink")
     if isinstance(word, str):
         word = Word(word)
+    elif not isinstance(word, Word):
+        raise TypeError(f"word must be a str or Word, not {type(word).__name__}")
     table = PrefixParikhTable(word)
     # module-global lookups, so that patching or wrapping an enumerator on
     # this package reaches every call made through here
@@ -149,7 +151,8 @@ def abelian_periods(
     ``nontrivial_only`` only periods with h + 2p <= n are kept, and the
     off-line algorithms enumerate just those. ``sink(i, periods)`` receives
     the period set of every prefix w[1..i]; only the on-line algorithms take
-    one. An unknown ``algo`` or a sink for an off-line one raises ValueError.
+    one. An unknown ``algo`` or a sink for an off-line one raises ValueError,
+    a word of another type TypeError.
     :func:`iter_abelian_periods` gives the same periods one at a time.
     """
     return list(

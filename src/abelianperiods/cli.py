@@ -227,7 +227,11 @@ def cmd_bench(args) -> int:
         args.parser.error("--lengths must be non-negative")
     if not all(1 <= sigma <= 26 for sigma in args.sigmas):
         args.parser.error("--sigma values must be between 1 and 26")
-    out = open(args.csv_path, "w", newline="") if args.csv_path else sys.stdout
+    try:
+        out = open(args.csv_path, "w", newline="") if args.csv_path else sys.stdout
+    except OSError as exc:
+        print(f"error: cannot write CSV: {exc}", file=sys.stderr)
+        return 1
     try:
         writer = csv.writer(out)
         writer.writerow(

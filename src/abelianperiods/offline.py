@@ -134,7 +134,7 @@ def brute_force_periods(
     remaining full blocks against the first one, and the tail last. A
     one-block candidate (h + 2p > n) has no remaining block to walk.
     """
-    yield from _verified_periods(table, nontrivial_only)
+    return _verified_periods(table, nontrivial_only)
 
 
 def shift_check(
@@ -210,9 +210,6 @@ def select_periods(
     tail test of :func:`brute_force_periods`; one-block candidates are one
     comparison with :func:`_one_block_starts`. Output is identical to it.
     """
-    n = table.n
-    if n == 0:
-        return
     bound = _select_bound(table.word)
     starts = None if nontrivial_only else _one_block_starts(table, bound)
-    yield from _verified_periods(table, nontrivial_only, bound, starts)
+    return _verified_periods(table, nontrivial_only, bound, starts)

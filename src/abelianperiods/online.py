@@ -9,33 +9,28 @@ is monotone in h, so those seeds are h < k for the count k that
 :func:`_fitting_heads` returns. Each extension or head test is one
 operation on packed Parikh vectors, whatever the alphabet size.
 
-:func:`online_list` and :func:`online_array` share the per-position sweep
-:func:`_sweep` and only record it differently: the live list itself, or a
-table remembering the longest prefix each pair survived. :func:`online_heap`
-buckets the live periods into min-heaps by current tail length and tests
-only each heap's minimum (:func:`extract_until_ok`): if the minimum
-survives, every period sharing that tail length survives with it (their
-last full blocks end at the same position and nest by length), so whole
-buckets pass in one comparison.
-
-Each algorithm works from born/died events: position i gives birth to its
-seeds and kills the periods of w[1..i-1] that fail the extension test, or,
-in the heap variant, that :func:`extract_until_ok` pops. A pair is born at
-most once and dies at most once, so the events of a whole word number
-O(n²), where the per-prefix sets hold Θ(n³) members in the worst case.
+One driver, :func:`_sweep`, seeds each position and asks a survival step
+which live periods die there. :func:`online_list` and :func:`online_array`
+use the list step, which retests every live period, and record it
+differently: the live list itself, or a table of the longest prefix each
+pair survived. :func:`online_heap` uses the bucket step, which keeps the
+live periods in min-heaps by tail length and tests only each minimum
+(:func:`extract_until_ok`): if it survives, every period sharing that tail
+length survives with it (their last full blocks end at the same position
+and nest by length), so whole buckets pass in one comparison.
 
 Every algorithm accepts an optional ``sink(i, periods)`` callback invoked
 after each position with the period set of w[1..i] (a fresh set, unordered;
-sinks must not call back into the running algorithm). It is served by
-:func:`_running_set`, which folds the events into one running set and hands
-the sink a copy: O(births + deaths) set updates plus one set copy per
-prefix. Without a sink no per-prefix sets are materialised.
+sinks must not call back into the running algorithm). Each pair is born and
+dies at most once, so a word has O(n²) such events where its prefix sets
+hold Θ(n³) members: the driver folds the events into one running set and
+hands the sink a copy. Without a sink no per-prefix sets are materialised.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 from .words import Period, PrefixParikhTable, period_order_key
 
@@ -48,23 +43,7 @@ __all__ = [
 ]
 
 Sink = Callable[[int, "set[Period]"], None]
-
-
-def _running_set(sink: Sink) -> Callable[[int, list[Period], list[Period]], None]:
-    """Adapt ``sink`` to the born/died events of each position.
-
-    The returned ``events(i, born, died)`` keeps one running set, removes
-    ``died`` from it, adds ``born`` and passes a copy to ``sink``. A set copy
-    reuses the stored hashes, so no period is hashed or built again.
-    """
-    running: set[Period] = set()
-
-    def events(i: int, born: list[Period], died: list[Period]) -> None:
-        running.difference_update(died)
-        running.update(born)
-        sink(i, running.copy())
-
-    return events
+Heaps = list[list[tuple[int, int]]]
 
 
 def _survivors(
@@ -116,20 +95,37 @@ def _fitting_heads(table: PrefixParikhTable, i: int) -> int:
 
 def _sweep(
     table: PrefixParikhTable,
-) -> Iterator[tuple[int, list[Period], list[Period], list[Period]]]:
-    """Yield ``(i, live, seeds, dead)`` for i = 1..n.
+    step: Callable[[PrefixParikhTable, int, Any, list[Period]], tuple[Any, list[Period]]],
+    state: Any,
+    sink: Sink | None = None,
+) -> Iterator[tuple[int, Any, list[Period], list[Period]]]:
+    """Yield ``(i, state, seeds, dead)`` for i = 1..n.
 
-    ``live`` lists the periods of w[1..i]: the survivors among those of
-    w[1..i-1] in their previous order, then ``seeds``, the births (h, i - h)
-    for the fitting heads h by increasing h. ``dead`` lists the periods of
-    w[1..i-1] that fail at i. Callers must not mutate them.
+    ``seeds`` are the births (h, i - h) for the fitting heads h by
+    increasing h. ``step(table, i, state, seeds)`` returns the state holding
+    the periods of w[1..i] and ``dead``, the periods of w[1..i-1] that fail
+    at i. With a sink, one running set drops ``dead``, gains ``seeds`` and
+    is copied to the sink. Callers must not mutate what is yielded.
     """
-    live: list[Period] = []
+    running: set[Period] | None = None if sink is None else set()
     for i in range(1, table.n + 1):
         seeds = [(h, i - h) for h in range(_fitting_heads(table, i))]
-        live, dead = _survivors(table, i, live)
-        live += seeds
-        yield i, live, seeds, dead
+        state, dead = step(table, i, state, seeds)
+        if running is not None:
+            running.difference_update(dead)
+            running.update(seeds)
+            sink(i, running.copy())
+        yield i, state, seeds, dead
+
+
+def _list_step(
+    table: PrefixParikhTable, i: int, live: list[Period], seeds: list[Period]
+) -> tuple[list[Period], list[Period]]:
+    """Survival step over a plain list: every live period is retested, the
+    survivors keep their order and the seeds follow them."""
+    live, dead = _survivors(table, i, live)
+    live += seeds
+    return live, dead
 
 
 def online_array(
@@ -145,16 +141,13 @@ def online_array(
     Each entry is written once: i - 1 when the pair dies at position i, n
     for the pairs alive at the end, -1 when the head does not fit.
     """
-    events = None if sink is None else _running_set(sink)
     t: dict[Period, int] = {}
     live: list[Period] = []
-    for i, live, seeds, dead in _sweep(table):
+    for i, live, seeds, dead in _sweep(table, _list_step, live, sink):
         for hp in dead:
             t[hp] = i - 1
         for h in range(len(seeds), (i - 1) // 2 + 1):
             t[h, i - h] = -1
-        if events is not None:
-            events(i, seeds, dead)
     for hp in live:
         t[hp] = table.n
     return t
@@ -170,11 +163,9 @@ def online_list(table: PrefixParikhTable, sink: Sink | None = None) -> list[Peri
 
     Returns the period list of the whole word (unordered).
     """
-    events = None if sink is None else _running_set(sink)
     live: list[Period] = []
-    for i, live, seeds, dead in _sweep(table):
-        if events is not None:
-            events(i, seeds, dead)
+    for _, live, _, _ in _sweep(table, _list_step, live, sink):
+        pass
     return live
 
 
@@ -204,32 +195,35 @@ def extract_until_ok(
     return popped
 
 
+def _bucket_step(
+    table: PrefixParikhTable, i: int, heaps: Heaps, seeds: list[Period]
+) -> tuple[Heaps, list[Period]]:
+    """Survival step over the tail-length buckets: each heap is trimmed by
+    :func:`extract_until_ok`, emptied heaps are dropped, and completed-block
+    roots and seeds form the new empty-tail bucket."""
+    new_heap: list[tuple[int, int]] = []
+    popped: list[tuple[int, int]] = []
+    for heap in heaps:
+        popped += extract_until_ok(heap, i, table, new_heap)
+    heaps = [heap for heap in heaps if heap]
+    for h, p in seeds:
+        heapq.heappush(new_heap, (p, h))
+    if new_heap:
+        heaps.append(new_heap)
+    return heaps, [(h, p) for p, h in popped]
+
+
 def online_heap(table: PrefixParikhTable, sink: Sink | None = None) -> set[Period]:
     """Heap-bucket variant: one test per bucket on the happy path.
 
-    Ongoing periods are grouped into min-heaps by current tail length; all
-    members of a bucket keep sharing a tail (the same suffix of the prefix
-    read so far), so when the bucket minimum survives the whole bucket
-    does. Only on a failing minimum does the bucket get trimmed entry by
-    entry. Completed-block roots and fresh candidates collect in a new
-    empty-tail bucket each round; emptied buckets are dropped. The births
-    of a position are its fresh candidates, its deaths the popped entries.
+    Ongoing periods are grouped into min-heaps by current tail length
+    (:func:`_bucket_step`); the members of a bucket share a tail, the same
+    suffix of the prefix read so far, so when the bucket minimum survives
+    the whole bucket does.
 
     Returns the period set of the whole word.
     """
-    events = None if sink is None else _running_set(sink)
-    heaps: list[list[tuple[int, int]]] = []
-    for i in range(1, table.n + 1):
-        new_heap: list[tuple[int, int]] = []
-        popped: list[tuple[int, int]] = []
-        for heap in heaps:
-            popped += extract_until_ok(heap, i, table, new_heap)
-        heaps = [heap for heap in heaps if heap]
-        k = _fitting_heads(table, i)
-        for h in range(k):
-            heapq.heappush(new_heap, (i - h, h))
-        if new_heap:
-            heaps.append(new_heap)
-        if events is not None:
-            events(i, [(h, i - h) for h in range(k)], [(h, p) for p, h in popped])
+    heaps: Heaps = []
+    for _, heaps, _, _ in _sweep(table, _bucket_step, heaps, sink):
+        pass
     return {(h, p) for heap in heaps for p, h in heap}

@@ -399,5 +399,11 @@ class TestBenchCommand:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == self.HEADER and len(lines) == 3
 
+    def test_unwritable_csv_is_a_data_error(self, cli, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = cli("bench", "--reps", "1", "--csv", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write CSV:") and "Traceback" not in err
+
     def test_unknown_algorithm(self, cli):
         assert cli("bench", "--algos", "quick")[0] == 2

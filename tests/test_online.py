@@ -205,17 +205,22 @@ class TestPrefixOracle:
 @pytest.fixture
 def record_events(monkeypatch):
     """Run an on-line algorithm with a sink and return the born/died events
-    its sink adapter was handed, as ``(i, born, died)`` triples."""
+    of its per-position driver, as ``(i, seeds, dead)`` triples."""
+    # taken once: reading the attribute after patching would recurse
+    sweep = abelianperiods.online._sweep
+    events = []
+
+    def recorder(*args, **kwargs):
+        for i, state, seeds, dead in sweep(*args, **kwargs):
+            events.append((i, list(seeds), list(dead)))
+            yield i, state, seeds, dead
+
+    monkeypatch.setattr(abelianperiods.online, "_sweep", recorder)
 
     def run(algorithm, table):
-        events = []
-
-        def recorder(sink):
-            return lambda i, born, died: events.append((i, list(born), list(died)))
-
-        monkeypatch.setattr(abelianperiods.online, "_running_set", recorder)
+        events.clear()
         algorithm(table, lambda i, periods: None)
-        return events
+        return list(events)
 
     return run
 
@@ -319,6 +324,11 @@ class TestDispatch:
     def test_lazy_form_rejects_a_sink_on_call(self, algo, no_table):
         with pytest.raises(ValueError, match="on-line"):
             iter_abelian_periods(GOLDEN, algo, sink=lambda i, s: None)
+
+    @pytest.mark.parametrize("word", [b"abba", None, list("abba")])
+    def test_foreign_word_type(self, word, no_table):
+        with pytest.raises(TypeError, match="str or Word"):
+            iter_abelian_periods(word)
 
 
 @pytest.mark.parametrize("text, letters", field_boundary_words())
