@@ -14,11 +14,9 @@ on-line); see :func:`abelian_periods`, its lazy form
 from typing import Iterator
 
 from .analysis import (
-    PeriodStats,
     cutting_positions,
     filter_nondeducible,
     filter_nontrivial,
-    period_stats,
     smallest_period,
 )
 from .generators import cyclic_word, fibonacci_word, random_word, spike_word
@@ -60,7 +58,6 @@ __all__ = [
     "ONLINE_ALGOS",
     "ParikhVector",
     "Period",
-    "PeriodStats",
     "PrefixParikhTable",
     "SelectIndex",
     "Word",
@@ -84,7 +81,6 @@ __all__ = [
     "online_list",
     "parikh",
     "period_order_key",
-    "period_stats",
     "periods_by_definition",
     "random_word",
     "select",

@@ -19,7 +19,6 @@ cutting sets (see :func:`filter_nondeducible`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .words import Period, period_order_key
@@ -29,8 +28,6 @@ __all__ = [
     "cutting_positions",
     "filter_nondeducible",
     "smallest_period",
-    "PeriodStats",
-    "period_stats",
 ]
 
 
@@ -93,35 +90,3 @@ def filter_nondeducible(periods: Iterable[Period], n: int) -> list[Period]:
 def smallest_period(periods: Iterable[Period]) -> Period | None:
     """Minimum under the canonical order (p, then h); None when empty."""
     return min(periods, key=period_order_key, default=None)
-
-
-@dataclass(frozen=True)
-class PeriodStats:
-    """Summary of a period set; ``nondeducible`` is None unless requested."""
-
-    total: int
-    nontrivial: int
-    smallest: Period | None
-    nondeducible: int | None = None
-
-
-def period_stats(
-    periods: Iterable[Period], n: int, *, with_nondeducible: bool = False
-) -> PeriodStats:
-    """Counts and minimum of a (possibly streamed) period set.
-
-    Consumes the iterable once. The non-deducible count requires holding
-    the whole set, so it is only computed on request.
-    """
-    if with_nondeducible:
-        periods = list(periods)
-    total = nontrivial = 0
-    smallest = None
-    for hp in periods:
-        total += 1
-        if hp[0] + 2 * hp[1] <= n:
-            nontrivial += 1
-        if smallest is None or period_order_key(hp) < period_order_key(smallest):
-            smallest = hp
-    nondeducible = len(filter_nondeducible(periods, n)) if with_nondeducible else None
-    return PeriodStats(total, nontrivial, smallest, nondeducible)

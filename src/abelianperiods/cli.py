@@ -197,8 +197,8 @@ def cmd_verify(args) -> int:
         args.parser.error("--max-len must be at least 1")
     if args.random_count is not None and args.random_count < 1:
         args.parser.error("--random must be at least 1")
-    if args.random_count is not None and args.length is None:
-        args.parser.error("--len is required with --random")
+    if (args.random_count is None) != (args.length is None):
+        args.parser.error("--len goes with --random: give both or neither")
     if args.length is not None and args.length < 0:
         args.parser.error("--len must be non-negative")
     if not 1 <= args.sigma <= 26:

@@ -137,14 +137,7 @@ def brute_force_periods(
     return _verified_periods(table, nontrivial_only)
 
 
-def shift_check(
-    table: PrefixParikhTable,
-    idx: SelectIndex,
-    h: int,
-    p: int,
-    *,
-    skip_head_check: bool = False,
-) -> bool:
+def shift_check(table: PrefixParikhTable, idx: SelectIndex, h: int, p: int) -> bool:
     """Whether (h, p) is an Abelian period, with empty tail, of the longest
     prefix it tiles exactly (length n - ((n - h) mod p)).
 
@@ -153,10 +146,6 @@ def shift_check(
     must contain head[a] + k * block[a] occurrences of a within the first
     h + k*p positions. An undefined select answer fails the candidate.
     O(n / p * sigma) time, O(sigma) extra space.
-
-    ``skip_head_check`` omits the head containment test for callers that
-    already guarantee it (p at least M[h] implies it, the block vector only
-    growing with p).
     """
     n = table.n
     if not 0 <= h < p:
@@ -165,7 +154,7 @@ def shift_check(
         raise ValueError(f"period ({h}, {p}) does not fit in a word of length {n}")
     head = table.factor(1, h)
     block = table.factor(h + 1, p)
-    if not skip_head_check and not contains_weak(head, block):
+    if not contains_weak(head, block):
         return False
     C, S = idx.C, idx.S
     sigma = len(C) - 1

@@ -1,4 +1,4 @@
-"""Period-set post-processing: classification, cutting sets, statistics."""
+"""Period-set post-processing: classification, cutting sets, minima."""
 
 import random
 
@@ -13,7 +13,6 @@ from abelianperiods import (
     filter_nondeducible,
     filter_nontrivial,
     period_order_key,
-    period_stats,
     smallest_period,
 )
 from conftest import oracle_periods, pairwise_nondeducible, words_over
@@ -147,21 +146,3 @@ class TestSmallestPeriod:
             assert all(
                 period_order_key(least) <= period_order_key(hp) for hp in periods
             )
-
-
-class TestPeriodStats:
-    def test_golden_word(self):
-        stats = period_stats(iter(GOLDEN_PERIODS), 8)
-        assert stats.total == 16
-        assert stats.nontrivial == 3
-        assert stats.smallest == (1, 2)
-        assert stats.nondeducible is None
-
-    def test_with_nondeducible(self):
-        stats = period_stats(GOLDEN_PERIODS, 8, with_nondeducible=True)
-        assert stats.nondeducible == 8
-
-    def test_empty_set(self):
-        stats = period_stats([], 0, with_nondeducible=True)
-        assert stats == period_stats([], 0, with_nondeducible=True)
-        assert stats.total == 0 and stats.smallest is None and stats.nondeducible == 0

@@ -273,6 +273,24 @@ class TestStreamedOutput:
         assert err == b""
 
 
+class TestStartup:
+    def test_cli_import_leaves_out_dataclasses_and_inspect(self):
+        # every `periods` child pays for what importing the CLI loads; -S
+        # keeps site-packages hooks from adding modules of their own
+        src = os.path.dirname(os.path.dirname(abelianperiods.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import abelianperiods.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "[]\n"
+
+
 class TestGenerateCommand:
     def test_fibonacci(self, cli):
         code, out, _ = cli("generate", "--kind", "fibonacci", "--length", "13")
@@ -323,6 +341,10 @@ class TestVerifyCommand:
 
     def test_negative_length_is_a_usage_error(self, cli):
         assert cli("verify", "--random", "2", "--len", "-3")[0] == 2
+
+    def test_len_without_random_is_a_usage_error(self, cli):
+        code, out, _ = cli("verify", "--max-len", "2", "--len", "50")
+        assert code == 2 and "verified" not in out
 
     def test_negative_random_count_is_a_usage_error(self, cli):
         assert cli("verify", "--random", "-3", "--len", "5")[0] == 2

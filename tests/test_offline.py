@@ -151,7 +151,6 @@ class TestShiftCheck:
         table = table_of("baa")
         idx = compute_select(table.word)
         assert not shift_check(table, idx, 1, 2)
-        assert shift_check(table, idx, 1, 2, skip_head_check=True)
 
     def test_preconditions(self):
         table = table_of(GOLDEN)
