@@ -186,7 +186,7 @@ def _verify_corpus(args) -> Iterator[Word]:
                 yield Word("".join(letters), alphabet)
     else:
         for j in range(args.random_count):
-            yield random_word(args.sigma, args.length, seed=args.seed + j)
+            yield random_word(args.sigma, args.length, seed=(args.seed or 0) + j)
 
 
 def cmd_verify(args) -> int:
@@ -199,6 +199,8 @@ def cmd_verify(args) -> int:
         args.parser.error("--random must be at least 1")
     if (args.random_count is None) != (args.length is None):
         args.parser.error("--len goes with --random: give both or neither")
+    if args.max_len is not None and args.seed is not None:
+        args.parser.error("--seed goes with --random: exhaustive mode draws no words")
     if args.length is not None and args.length < 0:
         args.parser.error("--len must be non-negative")
     if not 1 <= args.sigma <= 26:
@@ -326,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=int, default=2, help="alphabet size (both modes)")
     p.add_argument("--random", type=int, dest="random_count", help="sampled mode: number of random words")
     p.add_argument("--len", type=int, dest="length", help="sampled mode: word length")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="sampled mode: first word's seed (default 0)")
     p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("bench", help="CSV timing comparison on seeded random words")

@@ -9,6 +9,14 @@ is monotone in h, so those seeds are h < k for the count k that
 :func:`_fitting_heads` returns. Each extension or head test is one
 operation on packed Parikh vectors, whatever the alphabet size.
 
+The extension test is keyed. Every full block of a live period (h, p)
+equals its first, so its block vector B = P[h+p] − P[h] is fixed for its
+whole life; with mid the end of its last full block, its key is
+K = B + guard + P[mid] (:func:`_key`). At position i the tail is
+P[i] − P[mid], and ``K − P[i]`` is B minus that tail over the guard bits:
+one subtraction tests the tail against the block, a just-completed block
+included, since containment at equal length is equality.
+
 One driver, :func:`_sweep`, seeds each position and asks a survival step
 which live periods die there. :func:`online_list` and :func:`online_array`
 use the list step, which retests every live period, and record it
@@ -44,37 +52,50 @@ __all__ = [
 
 Sink = Callable[[int, "set[Period]"], None]
 Heaps = list[list[tuple[int, int]]]
+Keyed = tuple[list[Period], list[int]]
+
+
+def _key(table: PrefixParikhTable, h: int, p: int, i: int) -> int:
+    """Key of a period (h, p) of w[1..i]: ``2·P[mid] − P[mid − p] + guard``,
+    its block vector plus the guard bits plus P[mid], where ``mid`` is the
+    end of its last full block at or before i."""
+    P = table.packed
+    mid = i - (i - h) % p
+    return 2 * P[mid] - P[mid - p] + table.guard
 
 
 def _survivors(
-    table: PrefixParikhTable, i: int, periods: list[Period]
-) -> tuple[list[Period], list[Period]]:
-    """Split ``periods`` (periods of w[1..i-1]) into those that survive
-    position i and those that die there, both in their given order.
+    table: PrefixParikhTable, i: int, periods: list[Period], keys: list[int]
+) -> tuple[list[Period], list[int], list[Period]]:
+    """Split ``periods`` (periods of w[1..i-1], with their :func:`_key` at
+    i - 1 in ``keys``) into the survivors of position i with their keys at i
+    and the periods that die there, all in their given order.
 
-    One packed-vector test per period: the current tail against the last
-    full block, or, on a just-completed block, the two last blocks for
-    equality. A whole list is filtered per call because the test is the
-    on-line algorithms' inner loop.
+    One subtraction per period: with K its key, ``K − P[i]`` is the guard
+    bits plus the block vector minus the current tail, so the tail fits in
+    the block exactly when every guard bit is still set. It equals the guard
+    bits alone exactly when the tail has just become a full block equal to
+    the first; then the last full block ends at i and K grows by the block
+    vector. Keys are exact ints, and carries between the fields of K never
+    matter: only ``K − P[i]`` is inspected. A whole list is filtered per call
+    because the test is the on-line algorithms' inner loop.
     """
     P, guard = table.packed, table.guard
     Pi = P[i]
     out: list[Period] = []
+    out_keys: list[int] = []
     dead: list[Period] = []
-    for hp in periods:
-        h, p = hp
-        d = (i - h) % p
-        if d:
-            mid = i - d  # where the leaned-on block ends
-            if ((((P[mid] - P[mid - p]) | guard) - (Pi - P[mid])) & guard) == guard:
-                out.append(hp)
-            else:
-                dead.append(hp)
-        elif Pi - P[i - p] == P[i - p] - P[i - 2 * p]:
-            out.append(hp)
-        else:
+    for hp, key in zip(periods, keys):
+        slack = key - Pi
+        if slack & guard != guard:
             dead.append(hp)
-    return out, dead
+            continue
+        if slack == guard:
+            h, p = hp
+            key += P[h + p] - P[h]
+        out.append(hp)
+        out_keys.append(key)
+    return out, out_keys, dead
 
 
 def _fitting_heads(table: PrefixParikhTable, i: int) -> int:
@@ -119,13 +140,15 @@ def _sweep(
 
 
 def _list_step(
-    table: PrefixParikhTable, i: int, live: list[Period], seeds: list[Period]
-) -> tuple[list[Period], list[Period]]:
-    """Survival step over a plain list: every live period is retested, the
-    survivors keep their order and the seeds follow them."""
-    live, dead = _survivors(table, i, live)
+    table: PrefixParikhTable, i: int, state: Keyed, seeds: list[Period]
+) -> tuple[Keyed, list[Period]]:
+    """Survival step over a plain list and its parallel list of keys: every
+    live period is retested, the survivors keep their order and the seeds
+    follow them."""
+    live, keys, dead = _survivors(table, i, *state)
     live += seeds
-    return live, dead
+    keys += [_key(table, h, p, i) for h, p in seeds]
+    return (live, keys), dead
 
 
 def online_array(
@@ -142,13 +165,13 @@ def online_array(
     for the pairs alive at the end, -1 when the head does not fit.
     """
     t: dict[Period, int] = {}
-    live: list[Period] = []
-    for i, live, seeds, dead in _sweep(table, _list_step, live, sink):
+    state: Keyed = ([], [])
+    for i, state, seeds, dead in _sweep(table, _list_step, state, sink):
         for hp in dead:
             t[hp] = i - 1
         for h in range(len(seeds), (i - 1) // 2 + 1):
             t[h, i - h] = -1
-    for hp in live:
+    for hp in state[0]:
         t[hp] = table.n
     return t
 
@@ -163,10 +186,10 @@ def online_list(table: PrefixParikhTable, sink: Sink | None = None) -> list[Peri
 
     Returns the period list of the whole word (unordered).
     """
-    live: list[Period] = []
-    for _, live, _, _ in _sweep(table, _list_step, live, sink):
+    state: Keyed = ([], [])
+    for _, state, _, _ in _sweep(table, _list_step, state, sink):
         pass
-    return live
+    return state[0]
 
 
 def extract_until_ok(
@@ -187,7 +210,7 @@ def extract_until_ok(
     popped: list[tuple[int, int]] = []
     while heap:
         p, h = heap[0]
-        if _survivors(table, i, [(h, p)])[0]:
+        if _survivors(table, i, [(h, p)], [_key(table, h, p, i - 1)])[0]:
             if (i - h) % p == 0:
                 heapq.heappush(new_heap, heapq.heappop(heap))
             break

@@ -346,6 +346,23 @@ class TestVerifyCommand:
         code, out, _ = cli("verify", "--max-len", "2", "--len", "50")
         assert code == 2 and "verified" not in out
 
+    def test_seed_without_random_is_a_usage_error(self, cli):
+        code, out, _ = cli("verify", "--max-len", "2", "--seed", "5")
+        assert code == 2 and "verified" not in out
+
+    def test_sampled_mode_seed_defaults_to_zero(self, cli, monkeypatch):
+        seeds = []
+        real = abelianperiods.cli.random_word
+
+        def recording(sigma, n, seed=0):
+            seeds.append(seed)
+            return real(sigma, n, seed)
+
+        monkeypatch.setattr("abelianperiods.cli.random_word", recording)
+        assert cli("verify", "--random", "3", "--len", "4")[0] == 0
+        assert cli("verify", "--random", "2", "--len", "4", "--seed", "7")[0] == 0
+        assert seeds == [0, 1, 2, 7, 8]
+
     def test_negative_random_count_is_a_usage_error(self, cli):
         assert cli("verify", "--random", "-3", "--len", "5")[0] == 2
 

@@ -14,6 +14,7 @@ from abelianperiods import (
     Word,
     abelian_periods,
     contains_weak,
+    cyclic_word,
     extract_until_ok,
     fibonacci_word,
     filter_nontrivial,
@@ -251,12 +252,60 @@ class TestEvents:
             assert all(count == 1 for count in deaths.values()), text
 
 
+@pytest.fixture
+def stale_keys(monkeypatch):
+    """Run a list-step algorithm and return, after every position i, the
+    live periods (h, p) whose key is not ``2·P[mid] − P[mid − p] + guard``
+    with ``mid = i − (i − h) mod p``, as ``(i, h, p)``, and the number of
+    keys checked."""
+    sweep = abelianperiods.online._sweep
+    stale = []
+    checked = [0]
+
+    def checker(table, *args, **kwargs):
+        P, guard = table.packed, table.guard
+        for i, state, seeds, dead in sweep(table, *args, **kwargs):
+            live, keys = state
+            assert len(keys) == len(live), i
+            for (h, p), key in zip(live, keys):
+                mid = i - (i - h) % p
+                if key != 2 * P[mid] - P[mid - p] + guard:
+                    stale.append((i, h, p))
+            checked[0] += len(keys)
+            yield i, state, seeds, dead
+
+    monkeypatch.setattr(abelianperiods.online, "_sweep", checker)
+
+    def run(algorithm, table):
+        stale.clear()
+        checked[0] = 0
+        algorithm(table)
+        return list(stale), checked[0]
+
+    return run
+
+
+@pytest.mark.parametrize("algorithm", [online_array, online_list])
+@pytest.mark.parametrize("letters,max_len", [("ab", 9), ("abc", 6)])
+def test_keys_follow_the_last_full_block(algorithm, stale_keys, letters, max_len):
+    # a stale key can leave a survival outcome right by chance, so the keys
+    # themselves are checked after every position
+    alphabet = Alphabet(letters)
+    for text in words_over(letters, max_len):
+        stale, checked = stale_keys(algorithm, table_of(text, alphabet))
+        assert stale == [], (text, stale[:5])
+        assert checked, text
+
+
 # n = 300, beyond any exhaustive corpus: the per-prefix sets of a binary
 # word hold over a million members
 SCALE_WORDS = [
     pytest.param(random_word(2, 300, seed=7).text, id="random-2-300"),
     pytest.param(random_word(16, 300, seed=7).text, id="random-16-300"),
     pytest.param(fibonacci_word(300).text, id="fibonacci-300"),
+    # every period with 3 | p lives to the end and completes a block every p
+    # letters, moving its key on each time
+    pytest.param(cyclic_word(3, 300).text, id="cyclic-3-300"),
 ]
 
 
