@@ -157,21 +157,23 @@ def cmd_periods(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    takes_sigma = args.kind in ("cyclic", "random")
+    if (args.sigma is None) == takes_sigma:
+        verb = "is required for" if takes_sigma else "does not apply to"
+        args.parser.error(f"--sigma {verb} {args.kind} words")
+    if args.seed is not None and args.kind != "random":
+        args.parser.error(f"--seed goes with random words only, not {args.kind} words")
     try:
         if args.kind == "fibonacci":
             word = fibonacci_word(args.length)
         elif args.kind == "cyclic":
-            if args.sigma is None:
-                args.parser.error("--sigma is required for cyclic words")
             word = cyclic_word(args.sigma, args.length)
         elif args.kind == "spike":
             if args.length % 2 == 0:
                 args.parser.error("spike words have odd length 2k + 1")
             word = spike_word((args.length - 1) // 2)
         else:
-            if args.sigma is None:
-                args.parser.error("--sigma is required for random words")
-            word = random_word(args.sigma, args.length, args.seed)
+            word = random_word(args.sigma, args.length, args.seed or 0)
     except ValueError as exc:
         args.parser.error(str(exc))
     print(word.text)
@@ -320,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("fibonacci", "cyclic", "spike", "random"), required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--sigma", type=int, help="alphabet size (cyclic and random words)")
-    p.add_argument("--seed", type=int, default=0, help="random words only")
+    p.add_argument("--seed", type=int, help="random words only (default 0)")
     p.set_defaults(func=cmd_generate, parser=p)
 
     p = sub.add_parser("verify", help="cross-check all algorithms against the definition")

@@ -9,23 +9,23 @@ is monotone in h, so those seeds are h < k for the count k that
 :func:`_fitting_heads` returns. Each extension or head test is one
 operation on packed Parikh vectors, whatever the alphabet size.
 
-The extension test is keyed. Every full block of a live period (h, p)
-equals its first, so its block vector B = P[h+p] − P[h] is fixed for its
-whole life; with mid the end of its last full block, its key is
-K = B + guard + P[mid] (:func:`_key`). At position i the tail is
-P[i] − P[mid], and ``K − P[i]`` is B minus that tail over the guard bits:
-one subtraction tests the tail against the block, a just-completed block
-included, since containment at equal length is equality.
+The list step's extension test is keyed. Every full block of a live
+period (h, p) equals its first, so its block vector B = P[h+p] − P[h] is
+fixed; with mid the end of its last full block, its key is
+K = B + guard + P[mid], and ``K − P[i]`` is B minus the tail over the guard
+bits: one subtraction tests the tail against the block.
 
 One driver, :func:`_sweep`, seeds each position and asks a survival step
 which live periods die there. :func:`online_list` and :func:`online_array`
-use the list step, which retests every live period, and record it
+use the list step, which retests every live period in place, and record it
 differently: the live list itself, or a table of the longest prefix each
-pair survived. :func:`online_heap` uses the bucket step, which keeps the
-live periods in min-heaps by tail length and tests only each minimum
-(:func:`extract_until_ok`): if it survives, every period sharing that tail
-length survives with it (their last full blocks end at the same position
-and nest by length), so whole buckets pass in one comparison.
+pair survived. :func:`online_heap` uses the bucket step. The members of a
+bucket have their last full blocks ending at one position s, the bucket
+start, so they share the tail w[s+1..i] and their blocks nest by length:
+when the minimum (p, h) survives, the whole bucket does. With
+``base = guard + P[s] − P[i]`` once per bucket, it survives iff
+``(P[h+p] − P[h] + base) & guard == guard`` (:func:`extract_until_ok`), and
+it has just completed a block iff i − s == p.
 
 Every algorithm accepts an optional ``sink(i, periods)`` callback invoked
 after each position with the period set of w[1..i] (a fresh set, unordered;
@@ -51,51 +51,45 @@ __all__ = [
 ]
 
 Sink = Callable[[int, "set[Period]"], None]
-Heaps = list[list[tuple[int, int]]]
+Buckets = list[tuple[int, list[tuple[int, int]]]]
 Keyed = tuple[list[Period], list[int]]
-
-
-def _key(table: PrefixParikhTable, h: int, p: int, i: int) -> int:
-    """Key of a period (h, p) of w[1..i]: ``2·P[mid] − P[mid − p] + guard``,
-    its block vector plus the guard bits plus P[mid], where ``mid`` is the
-    end of its last full block at or before i."""
-    P = table.packed
-    mid = i - (i - h) % p
-    return 2 * P[mid] - P[mid - p] + table.guard
 
 
 def _survivors(
     table: PrefixParikhTable, i: int, periods: list[Period], keys: list[int]
-) -> tuple[list[Period], list[int], list[Period]]:
-    """Split ``periods`` (periods of w[1..i-1], with their :func:`_key` at
-    i - 1 in ``keys``) into the survivors of position i with their keys at i
-    and the periods that die there, all in their given order.
+) -> list[Period]:
+    """Filter ``periods`` (periods of w[1..i-1], with their keys at i - 1 in
+    ``keys``) in place down to the survivors of position i, with their keys
+    at i, and return the periods that die there, all in their given order.
 
-    One subtraction per period: with K its key, ``K − P[i]`` is the guard
-    bits plus the block vector minus the current tail, so the tail fits in
-    the block exactly when every guard bit is still set. It equals the guard
-    bits alone exactly when the tail has just become a full block equal to
-    the first; then the last full block ends at i and K grows by the block
-    vector. Keys are exact ints, and carries between the fields of K never
-    matter: only ``K − P[i]`` is inspected. A whole list is filtered per call
-    because the test is the on-line algorithms' inner loop.
+    With K a key, ``K − P[i]`` keeps every guard bit exactly when the tail
+    fits in the block, and equals the guard bits alone exactly when the tail
+    has just become a full block; then K grows by the block vector. Deaths
+    are rare, so one pass collects the dead and completed indices, and only
+    a position with deaths rebuilds the lists, by slices between the dead.
     """
     P, guard = table.packed, table.guard
     Pi = P[i]
-    out: list[Period] = []
-    out_keys: list[int] = []
-    dead: list[Period] = []
-    for hp, key in zip(periods, keys):
+    dead_at: list[int] = []
+    full_at: list[int] = []
+    for j, key in enumerate(keys):
         slack = key - Pi
         if slack & guard != guard:
-            dead.append(hp)
-            continue
-        if slack == guard:
-            h, p = hp
-            key += P[h + p] - P[h]
-        out.append(hp)
-        out_keys.append(key)
-    return out, out_keys, dead
+            dead_at.append(j)
+        elif slack == guard:
+            full_at.append(j)
+    for j in full_at:
+        h, p = periods[j]
+        keys[j] += P[h + p] - P[h]
+    if not dead_at:
+        return []
+    dead = [periods[j] for j in dead_at]
+    for seq in (periods, keys):
+        kept = seq[: dead_at[0]]
+        for j, end in zip(dead_at, dead_at[1:] + [len(seq)]):
+            kept += seq[j + 1 : end]
+        seq[:] = kept
+    return dead
 
 
 def _fitting_heads(table: PrefixParikhTable, i: int) -> int:
@@ -142,13 +136,17 @@ def _sweep(
 def _list_step(
     table: PrefixParikhTable, i: int, state: Keyed, seeds: list[Period]
 ) -> tuple[Keyed, list[Period]]:
-    """Survival step over a plain list and its parallel list of keys: every
-    live period is retested, the survivors keep their order and the seeds
-    follow them."""
-    live, keys, dead = _survivors(table, i, *state)
+    """Survival step over a plain list and its parallel list of keys, both
+    updated in place: every live period is retested, the survivors keep
+    their order and the seeds follow them. A seed (h, i - h) has just
+    completed its first block, so its key is ``2·P[i] + guard − P[h]``."""
+    live, keys = state
+    dead = _survivors(table, i, live, keys)
+    P = table.packed
+    base = 2 * P[i] + table.guard
     live += seeds
-    keys += [_key(table, h, p, i) for h, p in seeds]
-    return (live, keys), dead
+    keys += [base - P[h] for h, _ in seeds]
+    return state, dead
 
 
 def online_array(
@@ -156,22 +154,19 @@ def online_array(
 ) -> dict[Period, int]:
     """Longest-surviving-prefix table over all (h, p) pairs.
 
-    The returned mapping sends (h, p) to the length of the longest prefix
-    having that Abelian period, or to -1 when the candidate already failed
-    head containment when it was first seeded. Pairs never seeded are
-    absent. The final period set of the word is ``{hp : t[hp] == n}``.
-
-    Each entry is written once: i - 1 when the pair dies at position i, n
-    for the pairs alive at the end, -1 when the head does not fit.
+    The returned mapping sends every seeded (h, p) to the length of the
+    longest prefix having that Abelian period, or to -1 when its head does
+    not fit when it is seeded; each entry is written once. The period set of
+    the word is ``{hp : t[hp] == n}``.
     """
     t: dict[Period, int] = {}
-    state: Keyed = ([], [])
-    for i, state, seeds, dead in _sweep(table, _list_step, state, sink):
+    live: list[Period] = []
+    for i, _, seeds, dead in _sweep(table, _list_step, (live, []), sink):
         for hp in dead:
             t[hp] = i - 1
         for h in range(len(seeds), (i - 1) // 2 + 1):
             t[h, i - h] = -1
-    for hp in state[0]:
+    for hp in live:
         t[hp] = table.n
     return t
 
@@ -183,35 +178,39 @@ def table_final_periods(t: dict[Period, int], n: int) -> list[Period]:
 
 def online_list(table: PrefixParikhTable, sink: Sink | None = None) -> list[Period]:
     """Plain-list variant: keeps exactly the ongoing periods, retests all.
-
-    Returns the period list of the whole word (unordered).
-    """
-    state: Keyed = ([], [])
-    for _, state, _, _ in _sweep(table, _list_step, state, sink):
+    Returns the period list of the whole word (unordered)."""
+    live: list[Period] = []
+    for _ in _sweep(table, _list_step, (live, []), sink):
         pass
-    return state[0]
+    return live
 
 
 def extract_until_ok(
     heap: list[tuple[int, int]],
+    s: int,
     i: int,
     table: PrefixParikhTable,
     new_heap: list[tuple[int, int]],
 ) -> list[tuple[int, int]]:
-    """Pop failing minima off ``heap`` until its root survives position i.
+    """Pop failing minima off ``heap``, the bucket starting at ``s``, until
+    its root survives position i.
 
     Heap entries are (p, h) pairs so the heap order is the canonical period
-    order. Popped periods are gone for good (a failed extension can never
-    recover): they are the deaths of this bucket at position i, returned as
-    popped entries in pop order. If the surviving root just completed a
-    block it migrates to ``new_heap``, the bucket for empty tails. A heap
-    whose root already survives is left untouched.
+    order. The bucket shares one tail, so its part of the test is computed
+    once and each root adds only its block vector. That is not the list
+    step's per-period key, and a :func:`_survivors` call per root would
+    build one each time, so the bucket test lives here. Popped periods are
+    this bucket's deaths at i (a failed extension never recovers), returned
+    in pop order. A surviving root that just completed a block migrates to
+    ``new_heap``, the bucket starting at i.
     """
+    P, guard = table.packed, table.guard
+    base = guard + P[s] - P[i]
     popped: list[tuple[int, int]] = []
     while heap:
         p, h = heap[0]
-        if _survivors(table, i, [(h, p)], [_key(table, h, p, i - 1)])[0]:
-            if (i - h) % p == 0:
+        if (P[h + p] - P[h] + base) & guard == guard:
+            if i - s == p:
                 heapq.heappush(new_heap, heapq.heappop(heap))
             break
         popped.append(heapq.heappop(heap))
@@ -219,34 +218,28 @@ def extract_until_ok(
 
 
 def _bucket_step(
-    table: PrefixParikhTable, i: int, heaps: Heaps, seeds: list[Period]
-) -> tuple[Heaps, list[Period]]:
-    """Survival step over the tail-length buckets: each heap is trimmed by
-    :func:`extract_until_ok`, emptied heaps are dropped, and completed-block
-    roots and seeds form the new empty-tail bucket."""
+    table: PrefixParikhTable, i: int, buckets: Buckets, seeds: list[Period]
+) -> tuple[Buckets, list[Period]]:
+    """Survival step over the buckets, ``(s, heap)`` pairs: each heap is
+    trimmed by :func:`extract_until_ok`, emptied heaps are dropped, and
+    completed-block roots and seeds form the new bucket starting at i."""
     new_heap: list[tuple[int, int]] = []
     popped: list[tuple[int, int]] = []
-    for heap in heaps:
-        popped += extract_until_ok(heap, i, table, new_heap)
-    heaps = [heap for heap in heaps if heap]
+    for s, heap in buckets:
+        popped += extract_until_ok(heap, s, i, table, new_heap)
+    buckets = [bucket for bucket in buckets if bucket[1]]
     for h, p in seeds:
         heapq.heappush(new_heap, (p, h))
     if new_heap:
-        heaps.append(new_heap)
-    return heaps, [(h, p) for p, h in popped]
+        buckets.append((i, new_heap))
+    return buckets, [(h, p) for p, h in popped]
 
 
 def online_heap(table: PrefixParikhTable, sink: Sink | None = None) -> set[Period]:
-    """Heap-bucket variant: one test per bucket on the happy path.
-
-    Ongoing periods are grouped into min-heaps by current tail length
-    (:func:`_bucket_step`); the members of a bucket share a tail, the same
-    suffix of the prefix read so far, so when the bucket minimum survives
-    the whole bucket does.
-
-    Returns the period set of the whole word.
-    """
-    heaps: Heaps = []
-    for _, heaps, _, _ in _sweep(table, _bucket_step, heaps, sink):
+    """Heap-bucket variant: ongoing periods are grouped into min-heaps by
+    bucket start (:func:`_bucket_step`), one test per bucket on the happy
+    path. Returns the period set of the whole word."""
+    buckets: Buckets = []
+    for _, buckets, _, _ in _sweep(table, _bucket_step, buckets, sink):
         pass
-    return {(h, p) for heap in heaps for p, h in heap}
+    return {(h, p) for _, heap in buckets for p, h in heap}

@@ -318,6 +318,27 @@ class TestGenerateCommand:
         assert cli("generate", "--kind", "random", "--length", "5")[0] == 2
         assert cli("generate", "--kind", "fibonacci", "--length", "0")[0] == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            pytest.param(("fibonacci", "8", "--sigma", "5", "--seed", "3"), id="fibonacci-sigma-seed"),
+            pytest.param(("fibonacci", "8", "--sigma", "5"), id="fibonacci-sigma"),
+            pytest.param(("fibonacci", "8", "--seed", "3"), id="fibonacci-seed"),
+            pytest.param(("spike", "5", "--sigma", "2"), id="spike-sigma"),
+            pytest.param(("spike", "5", "--seed", "0"), id="spike-seed"),
+            pytest.param(("cyclic", "6", "--sigma", "3", "--seed", "1"), id="cyclic-seed"),
+        ],
+    )
+    def test_options_the_kind_does_not_use(self, cli, args):
+        # an option that cannot change the word is a usage error, not ignored
+        kind, length, *rest = args
+        code, out, err = cli("generate", "--kind", kind, "--length", length, *rest)
+        assert code == 2 and out == "" and ("--sigma" in err or "--seed" in err)
+
+    def test_random_seed_defaults_to_zero(self, cli):
+        args = ("generate", "--kind", "random", "--length", "40", "--sigma", "4")
+        assert cli(*args) == cli(*args, "--seed", "0")
+
 
 class TestVerifyCommand:
     def test_exhaustive_smallest_corpus(self, cli):

@@ -26,6 +26,7 @@ from abelianperiods import (
     period_order_key,
     random_word,
     select_periods,
+    spike_word,
     table_final_periods,
 )
 from conftest import (
@@ -125,44 +126,94 @@ class TestOnlineHeap:
 
 
 class TestExtractUntilOk:
-    # heaps hold (p, h) pairs so that the heap order is the period order
+    # heaps hold (p, h) pairs so that the heap order is the period order; the
+    # second argument is the bucket start s, where every member's last full
+    # block ends: (1, 2) and (0, 3) both have s = 3 at position 4
 
     def test_every_member_fails(self):
         heap, fresh = [(2, 1)], []
-        extract_until_ok(heap, 5, table_of("abcbab"), fresh)
+        extract_until_ok(heap, 3, 5, table_of("abcbab"), fresh)
         assert heap == [] and fresh == []
 
     def test_failing_root_then_passing_root(self):
         heap, fresh = [(2, 1), (3, 0)], []
         heapq.heapify(heap)
-        extract_until_ok(heap, 5, table_of("abcbab"), fresh)
+        extract_until_ok(heap, 3, 5, table_of("abcbab"), fresh)
         assert heap == [(3, 0)] and fresh == []
 
     def test_single_passing_root_unchanged(self):
         heap, fresh = [(3, 0)], []
-        extract_until_ok(heap, 5, table_of("abcbab"), fresh)
+        extract_until_ok(heap, 3, 5, table_of("abcbab"), fresh)
         assert heap == [(3, 0)] and fresh == []
 
     def test_passing_root_with_completed_block_migrates(self):
         heap, fresh = [(2, 1)], []
-        extract_until_ok(heap, 5, table_of("ababa"), fresh)
+        extract_until_ok(heap, 3, 5, table_of("ababa"), fresh)
         assert heap == [] and fresh == [(2, 1)]
 
     @pytest.mark.parametrize(
-        "heap, i, text, popped",
+        "heap, s, i, text, popped",
         [
-            pytest.param([(2, 1)], 5, "abcbab", [(2, 1)], id="every-member-fails"),
-            pytest.param([(2, 1), (3, 0)], 5, "abcbab", [(2, 1)], id="failing-then-passing"),
-            pytest.param([(3, 0)], 5, "abcbab", [], id="single-passing-root"),
-            pytest.param([(2, 1)], 5, "ababa", [], id="completed-block-migrates"),
-            # (1, 2) and (0, 3) die at 5 in aabbb; (1, 3) survives
-            pytest.param([(2, 1), (3, 0), (3, 1)], 5, "aabbb", [(2, 1), (3, 0)], id="two-pops"),
+            pytest.param([(2, 1)], 3, 5, "abcbab", [(2, 1)], id="every-member-fails"),
+            pytest.param([(2, 1), (3, 0)], 3, 5, "abcbab", [(2, 1)], id="failing-then-passing"),
+            pytest.param([(3, 0)], 3, 5, "abcbab", [], id="single-passing-root"),
+            pytest.param([(2, 1)], 3, 5, "ababa", [], id="completed-block-migrates"),
+            # the bucket s = 4 of ababa: (0, 2) and (1, 3) die at 6 on the
+            # tail aa, (0, 4) survives
+            pytest.param([(2, 0), (3, 1), (4, 0)], 4, 6, "ababaa", [(2, 0), (3, 1)], id="two-pops"),
         ],
     )
-    def test_returns_the_popped_entries(self, heap, i, text, popped):
+    def test_returns_the_popped_entries(self, heap, s, i, text, popped):
         # the popped entries are the bucket's deaths, in pop order
         heapq.heapify(heap)
-        assert extract_until_ok(heap, i, table_of(text), []) == popped
+        assert extract_until_ok(heap, s, i, table_of(text), []) == popped
+
+    # (0, 2) has completed two blocks by position 4 of abab..., so its
+    # bucket starts at s = 4 > h + p and its tail is w[5..i], not w[3..i]
+    @pytest.mark.parametrize(
+        "text, i, popped, heap, fresh",
+        [
+            pytest.param("ababa", 5, [], [(2, 0)], [], id="tail-fits"),
+            pytest.param("ababab", 6, [], [], [(2, 0)], id="third-block-migrates"),
+            pytest.param("ababbb", 6, [(2, 0)], [], [], id="tail-too-long"),
+        ],
+    )
+    def test_root_with_several_blocks(self, text, i, popped, heap, fresh):
+        got, new_heap = [(2, 0)], []
+        assert extract_until_ok(got, 4, i, table_of(text), new_heap) == popped
+        assert got == heap and new_heap == fresh
+
+
+@pytest.mark.parametrize("letters,max_len", [("ab", 9), ("abc", 6)])
+def test_bucket_test_matches_definition(monkeypatch, letters, max_len):
+    # every bucket test made by online_heap, against the definition: it pops
+    # exactly the members that are no period of w[1..i], in canonical order,
+    # and moves the surviving root on exactly when it completes a block at i
+    test = abelianperiods.online.extract_until_ok
+    calls = []
+
+    def recorder(heap, s, i, table, new_heap):
+        members, before = sorted(heap), set(new_heap)
+        popped = test(heap, s, i, table, new_heap)
+        calls.append((members, i, popped, sorted(set(new_heap) - before), sorted(heap)))
+        return popped
+
+    monkeypatch.setattr(abelianperiods.online, "extract_until_ok", recorder)
+    alphabet = Alphabet(letters)
+    tested = 0
+    for text in words_over(letters, max_len):
+        last = prefix_lifetimes(text)
+        calls.clear()
+        online_heap(table_of(text, alphabet))
+        for members, i, popped, moved, kept in calls:
+            alive = [(p, h) for p, h in members if last[h, p] >= i]
+            assert popped == [(p, h) for p, h in members if last[h, p] == i - 1], (text, i)
+            assert popped + alive == members, (text, i)
+            completes = alive and (i - alive[0][1]) % alive[0][0] == 0
+            expected_move = alive[:1] if completes else []
+            assert moved == expected_move and kept == alive[len(moved):], (text, i)
+        tested += len(calls)
+    assert tested
 
 
 @pytest.mark.parametrize("algorithm", [online_array, online_list, online_heap])
@@ -295,6 +346,93 @@ def test_keys_follow_the_last_full_block(algorithm, stale_keys, letters, max_len
         stale, checked = stale_keys(algorithm, table_of(text, alphabet))
         assert stale == [], (text, stale[:5])
         assert checked, text
+
+
+@pytest.fixture
+def bucket_starts(monkeypatch):
+    """Run online_heap and return, after every position i, the members
+    (h, p) of a bucket with start s for which ``s != i − (i − h) mod p``, as
+    ``(i, s, h, p)``, and the number of members checked."""
+    sweep = abelianperiods.online._sweep
+    wrong = []
+    checked = [0]
+
+    def checker(table, *args, **kwargs):
+        for i, buckets, seeds, dead in sweep(table, *args, **kwargs):
+            for s, heap in buckets:
+                for p, h in heap:
+                    if s != i - (i - h) % p:
+                        wrong.append((i, s, h, p))
+                checked[0] += len(heap)
+            yield i, buckets, seeds, dead
+
+    monkeypatch.setattr(abelianperiods.online, "_sweep", checker)
+
+    def run(table):
+        wrong.clear()
+        checked[0] = 0
+        online_heap(table)
+        return list(wrong), checked[0]
+
+    return run
+
+
+@pytest.mark.parametrize("letters,max_len", [("ab", 9), ("abc", 6)])
+def test_buckets_start_at_the_last_full_block(bucket_starts, letters, max_len):
+    # a wrong start can leave the survival outcome right by chance, so the
+    # starts themselves are checked after every position
+    alphabet = Alphabet(letters)
+    for text in words_over(letters, max_len):
+        wrong, checked = bucket_starts(table_of(text, alphabet))
+        assert wrong == [], (text, wrong[:5])
+        assert checked, text
+
+
+# many live periods die at one position: at the b of a^k b a^k, and at the
+# first few b of a^3k b^k
+MASS_DEATH_WORDS = [
+    pytest.param(text, id=name)
+    for k in (1, 7, 20, 40)
+    for name, text in [
+        (f"spike-{k}", spike_word(k).text),
+        (f"a{3 * k}-b{k}", "a" * (3 * k) + "b" * k),
+    ]
+]
+
+
+@pytest.mark.parametrize("algorithm", [online_array, online_list, online_heap])
+@pytest.mark.parametrize("text", MASS_DEATH_WORDS)
+def test_mass_deaths(algorithm, text):
+    assert collect_prefix_sets(algorithm, table_of(text)) == list(prefix_sets(text))
+
+
+@pytest.mark.parametrize("text", MASS_DEATH_WORDS)
+def test_survivors_filter_in_place(text):
+    # the live periods of every prefix, in a scrambled order, through one
+    # call of the list step's filter
+    table = table_of(text)
+    P, guard = table.packed, table.guard
+    last = prefix_lifetimes(text)
+
+    def key(h, p, i):
+        mid = i - (i - h) % p
+        return 2 * P[mid] - P[mid - p] + guard
+
+    deaths = 0
+    for i, live in prefix_sets(text[:-1]):
+        periods = sorted(live, key=lambda hp: (hp[0] * 7919 + hp[1] * 104729) % 1009)
+        keys = [key(h, p, i) for h, p in periods]
+        before, old_keys = list(periods), list(keys)
+        dead = abelianperiods.online._survivors(table, i + 1, periods, keys)
+        assert dead == [hp for hp in before if last[hp] == i], (text, i)
+        assert periods == [hp for hp in before if last[hp] > i], (text, i)
+        assert keys == [key(h, p, i + 1) for h, p in periods], (text, i)
+        for (h, p), k in zip(periods, keys):
+            if (i + 1 - h) % p == 0:
+                # a completed block moves the key on by the block vector
+                assert k - old_keys[before.index((h, p))] == P[h + p] - P[h]
+        deaths += len(dead)
+    assert deaths, text
 
 
 # n = 300, beyond any exhaustive corpus: the per-prefix sets of a binary
