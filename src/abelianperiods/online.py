@@ -64,8 +64,8 @@ def _survivors(
 
     With K a key, ``K − P[i]`` keeps every guard bit exactly when the tail
     fits in the block, and equals the guard bits alone exactly when the tail
-    has just become a full block; then K grows by the block vector. Deaths
-    are rare, so one pass collects the dead and completed indices, and only
+    has just become a full block; then K grows by the block vector. Few
+    tests fail, so one pass collects the dead and completed indices, and only
     a position with deaths rebuilds the lists, by slices between the dead.
     """
     P, guard = table.packed, table.guard
