@@ -11,13 +11,15 @@ operation on packed Parikh vectors, whatever the alphabet size.
 
 The list step's extension test is keyed. Every full block of a live
 period (h, p) equals its first, so its block vector B = P[h+p] − P[h] is
-fixed; with mid the end of its last full block, its key is
-K = B + guard + P[mid], and ``K − P[i]`` is B minus the tail over the guard
-bits: one subtraction tests the tail against the block.
+fixed for its whole life; with mid the end of its last full block, its key
+is K = B + guard + P[mid]. At position i the tail is P[i] − P[mid], and
+``K − P[i]`` is B minus that tail over the guard bits: one subtraction
+tests the tail against the block, a just-completed block included, since
+containment at equal length is equality.
 
 One driver, :func:`_sweep`, seeds each position and asks a survival step
 which live periods die there. :func:`online_list` and :func:`online_array`
-use the list step, which retests every live period in place, and record it
+use the list step, which retests every live period, and record it
 differently: the live list itself, or a table of the longest prefix each
 pair survived. :func:`online_heap` uses the bucket step. The members of a
 bucket have their last full blocks ending at one position s, the bucket
@@ -57,39 +59,36 @@ Keyed = tuple[list[Period], list[int]]
 
 def _survivors(
     table: PrefixParikhTable, i: int, periods: list[Period], keys: list[int]
-) -> list[Period]:
-    """Filter ``periods`` (periods of w[1..i-1], with their keys at i - 1 in
-    ``keys``) in place down to the survivors of position i, with their keys
-    at i, and return the periods that die there, all in their given order.
+) -> tuple[list[Period], list[int], list[Period]]:
+    """Split ``periods`` (periods of w[1..i-1], with their keys at i - 1 in
+    ``keys``) into the survivors of position i with their keys at i and the
+    periods that die there, all in their given order.
 
-    With K a key, ``K − P[i]`` keeps every guard bit exactly when the tail
-    fits in the block, and equals the guard bits alone exactly when the tail
-    has just become a full block; then K grows by the block vector. Few
-    tests fail, so one pass collects the dead and completed indices, and only
-    a position with deaths rebuilds the lists, by slices between the dead.
+    One subtraction per period: with K its key, ``K − P[i]`` is the guard
+    bits plus the block vector minus the current tail, so the tail fits in
+    the block exactly when every guard bit is still set. It equals the guard
+    bits alone exactly when the tail has just become a full block equal to
+    the first; then the last full block ends at i and K grows by the block
+    vector. Keys are exact ints, and carries between the fields of K never
+    matter: only ``K − P[i]`` is inspected. A whole list is filtered per call
+    because the test is the on-line algorithms' inner loop.
     """
     P, guard = table.packed, table.guard
     Pi = P[i]
-    dead_at: list[int] = []
-    full_at: list[int] = []
-    for j, key in enumerate(keys):
+    out: list[Period] = []
+    out_keys: list[int] = []
+    dead: list[Period] = []
+    for hp, key in zip(periods, keys):
         slack = key - Pi
         if slack & guard != guard:
-            dead_at.append(j)
-        elif slack == guard:
-            full_at.append(j)
-    for j in full_at:
-        h, p = periods[j]
-        keys[j] += P[h + p] - P[h]
-    if not dead_at:
-        return []
-    dead = [periods[j] for j in dead_at]
-    for seq in (periods, keys):
-        kept = seq[: dead_at[0]]
-        for j, end in zip(dead_at, dead_at[1:] + [len(seq)]):
-            kept += seq[j + 1 : end]
-        seq[:] = kept
-    return dead
+            dead.append(hp)
+            continue
+        if slack == guard:
+            h, p = hp
+            key += P[h + p] - P[h]
+        out.append(hp)
+        out_keys.append(key)
+    return out, out_keys, dead
 
 
 def _fitting_heads(table: PrefixParikhTable, i: int) -> int:
@@ -136,17 +135,16 @@ def _sweep(
 def _list_step(
     table: PrefixParikhTable, i: int, state: Keyed, seeds: list[Period]
 ) -> tuple[Keyed, list[Period]]:
-    """Survival step over a plain list and its parallel list of keys, both
-    updated in place: every live period is retested, the survivors keep
-    their order and the seeds follow them. A seed (h, i - h) has just
-    completed its first block, so its key is ``2·P[i] + guard − P[h]``."""
-    live, keys = state
-    dead = _survivors(table, i, live, keys)
+    """Survival step over a plain list and its parallel list of keys: every
+    live period is retested, the survivors keep their order and the seeds
+    follow them. A seed (h, i - h) has just completed its first block, so
+    its key is ``2·P[i] + guard − P[h]``."""
+    live, keys, dead = _survivors(table, i, *state)
     P = table.packed
     base = 2 * P[i] + table.guard
     live += seeds
     keys += [base - P[h] for h, _ in seeds]
-    return state, dead
+    return (live, keys), dead
 
 
 def online_array(
@@ -154,19 +152,22 @@ def online_array(
 ) -> dict[Period, int]:
     """Longest-surviving-prefix table over all (h, p) pairs.
 
-    The returned mapping sends every seeded (h, p) to the length of the
-    longest prefix having that Abelian period, or to -1 when its head does
-    not fit when it is seeded; each entry is written once. The period set of
-    the word is ``{hp : t[hp] == n}``.
+    The returned mapping sends (h, p) to the length of the longest prefix
+    having that Abelian period, or to -1 when the candidate already failed
+    head containment when it was first seeded. Pairs never seeded are
+    absent. The final period set of the word is ``{hp : t[hp] == n}``.
+
+    Each entry is written once: i - 1 when the pair dies at position i, n
+    for the pairs alive at the end, -1 when the head does not fit.
     """
     t: dict[Period, int] = {}
-    live: list[Period] = []
-    for i, _, seeds, dead in _sweep(table, _list_step, (live, []), sink):
+    state: Keyed = ([], [])
+    for i, state, seeds, dead in _sweep(table, _list_step, state, sink):
         for hp in dead:
             t[hp] = i - 1
         for h in range(len(seeds), (i - 1) // 2 + 1):
             t[h, i - h] = -1
-    for hp in live:
+    for hp in state[0]:
         t[hp] = table.n
     return t
 
@@ -178,11 +179,13 @@ def table_final_periods(t: dict[Period, int], n: int) -> list[Period]:
 
 def online_list(table: PrefixParikhTable, sink: Sink | None = None) -> list[Period]:
     """Plain-list variant: keeps exactly the ongoing periods, retests all.
-    Returns the period list of the whole word (unordered)."""
-    live: list[Period] = []
-    for _ in _sweep(table, _list_step, (live, []), sink):
+
+    Returns the period list of the whole word (unordered).
+    """
+    state: Keyed = ([], [])
+    for _, state, _, _ in _sweep(table, _list_step, state, sink):
         pass
-    return live
+    return state[0]
 
 
 def extract_until_ok(
@@ -202,7 +205,8 @@ def extract_until_ok(
     build one each time, so the bucket test lives here. Popped periods are
     this bucket's deaths at i (a failed extension never recovers), returned
     in pop order. A surviving root that just completed a block migrates to
-    ``new_heap``, the bucket starting at i.
+    ``new_heap``, the bucket starting at i. A heap whose root already
+    survives is otherwise left untouched.
     """
     P, guard = table.packed, table.guard
     base = guard + P[s] - P[i]

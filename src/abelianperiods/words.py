@@ -22,8 +22,6 @@ as the correctness oracle for every enumeration algorithm in this package.
 
 from __future__ import annotations
 
-import sys
-from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator
 
@@ -169,23 +167,6 @@ def contains_strict(p: ParikhVector, q: ParikhVector) -> bool:
     return sum(p) < sum(q) and all(x <= y for x, y in zip(p, q))
 
 
-@lru_cache(maxsize=64)
-def _lanes(sigma: int, width: int) -> tuple[str, int, tuple[tuple[int, int, int], ...]]:
-    """For ``_unpack``: the memoryview format of a lane of 8, 16, 32 or 64
-    bits, the byte size of sigma lanes padded to a power of two, and per
-    halving of the runs of fields a (shift, low mask, high mask) step."""
-    lane = next(bits for bits in (8, 16, 32, 64) if bits >= width)
-    count = 1 << max(sigma - 1, 0).bit_length()
-    steps = []
-    half = count // 2
-    while half:
-        every_run = ((1 << (count * lane)) - 1) // ((1 << (2 * half * lane)) - 1)
-        low = every_run * ((1 << (half * width)) - 1)
-        steps.append((half * (lane - width), low, low << half * width))
-        half //= 2
-    return "BHIQ"[(lane // 8).bit_length() - 1], count * lane // 8, tuple(steps)
-
-
 class PrefixParikhTable:
     """Parikh vectors of all prefixes of a word, packed one int per prefix.
 
@@ -221,12 +202,9 @@ class PrefixParikhTable:
         self.packed = list(accumulate(map(unit.__getitem__, text), initial=0))
 
     def _unpack(self, v: int) -> ParikhVector:
-        # every run of fields is split at its middle field, all runs at once,
-        # until each field has a byte-aligned lane: O(log σ) big-int steps
-        code, nbytes, steps = _lanes(self.sigma, self.width)
-        for shift, low, high in steps:
-            v = (v & low) | (v & high) << shift
-        return tuple(memoryview(v.to_bytes(nbytes, sys.byteorder)).cast(code)[: self.sigma])
+        width = self.width
+        mask = (1 << width) - 1
+        return tuple((v >> (width * a)) & mask for a in range(self.sigma))
 
     def row(self, j: int) -> ParikhVector:
         """Parikh vector of the prefix w[1..j]; row 0 is the zero vector."""

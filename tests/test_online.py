@@ -407,7 +407,7 @@ def test_mass_deaths(algorithm, text):
 
 
 @pytest.mark.parametrize("text", MASS_DEATH_WORDS)
-def test_survivors_filter_in_place(text):
+def test_survivors_keep_order_and_advance_keys(text):
     # the live periods of every prefix, in a scrambled order, through one
     # call of the list step's filter
     table = table_of(text)
@@ -422,15 +422,14 @@ def test_survivors_filter_in_place(text):
     for i, live in prefix_sets(text[:-1]):
         periods = sorted(live, key=lambda hp: (hp[0] * 7919 + hp[1] * 104729) % 1009)
         keys = [key(h, p, i) for h, p in periods]
-        before, old_keys = list(periods), list(keys)
-        dead = abelianperiods.online._survivors(table, i + 1, periods, keys)
-        assert dead == [hp for hp in before if last[hp] == i], (text, i)
-        assert periods == [hp for hp in before if last[hp] > i], (text, i)
-        assert keys == [key(h, p, i + 1) for h, p in periods], (text, i)
-        for (h, p), k in zip(periods, keys):
+        out, out_keys, dead = abelianperiods.online._survivors(table, i + 1, periods, keys)
+        assert dead == [hp for hp in periods if last[hp] == i], (text, i)
+        assert out == [hp for hp in periods if last[hp] > i], (text, i)
+        assert out_keys == [key(h, p, i + 1) for h, p in out], (text, i)
+        for (h, p), k in zip(out, out_keys):
             if (i + 1 - h) % p == 0:
                 # a completed block moves the key on by the block vector
-                assert k - old_keys[before.index((h, p))] == P[h + p] - P[h]
+                assert k - keys[periods.index((h, p))] == P[h + p] - P[h]
         deaths += len(dead)
     assert deaths, text
 

@@ -1,6 +1,5 @@
 """Core types: alphabets, words, Parikh vectors, the period oracle."""
 
-import random
 from itertools import product
 
 import pytest
@@ -167,27 +166,6 @@ class TestPackedFieldBoundaries:
             for y, ys in zip(t.packed, rows):
                 packed_leq = ((y | guard) - x) & guard == guard
                 assert packed_leq == contains_weak(xs, ys), (xs, ys)
-
-
-@pytest.mark.parametrize("sigma", [1, 2, 3, 26, 256])
-def test_unpack_matches_per_field_shifts(sigma):
-    """The split-at-the-middle unpacking against one shift per field."""
-    letters = "".join(map(chr, range(97, 97 + sigma))) if sigma <= 26 else "".join(
-        map(chr, range(256, 256 + sigma))
-    )
-    rng = random.Random(sigma)
-    text = "".join(rng.choice(letters) for _ in range(300))
-    t = table_of(text, Alphabet(letters))
-    mask = (1 << t.width) - 1
-
-    def shifts(v):
-        return tuple((v >> (t.width * a)) & mask for a in range(sigma))
-
-    for j in range(t.n + 1):
-        assert t.row(j) == shifts(t.packed[j]), j
-    for i, m in [(1, 0), (1, 300), (17, 1), (40, 151), (299, 2)]:
-        assert t.factor(i, m) == shifts(t.packed[i + m - 1] - t.packed[i - 1]), (i, m)
-    assert t.row(t.n) == parikh(Word(text, Alphabet(letters)))
 
 
 class TestIsAbelianPeriod:
