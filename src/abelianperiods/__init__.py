@@ -20,15 +20,8 @@ from .analysis import (
     smallest_period,
 )
 from .generators import cyclic_word, fibonacci_word, random_word, spike_word
-from .offline import brute_force_periods, select_periods, shift_check
-from .online import (
-    Sink,
-    extract_until_ok,
-    online_array,
-    online_heap,
-    online_list,
-    table_final_periods,
-)
+from .offline import brute_force_periods, select_periods
+from .online import Sink, extract_until_ok, online_array, online_heap, online_list
 from .rank_select import (
     SelectIndex,
     compute_g,
@@ -85,10 +78,8 @@ __all__ = [
     "random_word",
     "select",
     "select_periods",
-    "shift_check",
     "smallest_period",
     "spike_word",
-    "table_final_periods",
 ]
 
 
@@ -126,7 +117,9 @@ def iter_abelian_periods(
     if algo == "select":
         return select_periods(table, nontrivial_only=nontrivial_only)
     if algo == "online-array":
-        result = table_final_periods(online_array(table, sink), table.n)
+        t = online_array(table, sink)
+        n = table.n
+        result = sorted((hp for hp, j in t.items() if j == n), key=period_order_key)
     elif algo == "online-list":
         result = sorted(online_list(table, sink), key=period_order_key)
     else:

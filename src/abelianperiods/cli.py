@@ -54,19 +54,23 @@ def cross_check_word(word: Word, *, check_prefixes: bool = True) -> str | None:
     """Compare all five algorithms against the definition-level enumeration.
 
     Returns None when everything agrees, otherwise a one-line description
-    of the first disagreement (word, algorithm pair, differing period).
-    With ``check_prefixes`` the three on-line algorithms' per-prefix sets
-    are also compared against the definition on every prefix.
+    of the first disagreement (word, algorithm pair, differing period, or
+    the order or duplicates of an otherwise equal list). With
+    ``check_prefixes`` the three on-line algorithms' per-prefix sets are
+    also compared against the definition on every prefix.
     """
     reference = list(periods_by_definition(PrefixParikhTable(word)))
     for name in ALGOS:
         got = run_algorithm(word, name)
         if got != reference:
-            bad = min(set(got) ^ set(reference), key=period_order_key)
-            return (
-                f"word {word.text!r}: {name} vs definition disagree on period "
-                f"({bad[0]}, {bad[1]})"
-            )
+            differ = set(got) ^ set(reference)
+            if differ:
+                bad = min(differ, key=period_order_key)
+                what = f"period ({bad[0]}, {bad[1]})"
+            else:
+                # the reference has no duplicates, so a longer list repeats one
+                what = "duplicate periods" if len(got) > len(reference) else "period order"
+            return f"word {word.text!r}: {name} vs definition disagree on {what}"
     if check_prefixes and len(word):
         per_prefix: dict[str, list[set[Period]]] = {name: [] for name in ONLINE_ALGOS}
         for name, sets in per_prefix.items():
@@ -194,17 +198,17 @@ def _verify_corpus(args) -> Iterator[Word]:
 def cmd_verify(args) -> int:
     if (args.max_len is None) == (args.random_count is None):
         args.parser.error("choose one mode: --max-len (exhaustive) or --random (sampled)")
-    # an empty corpus would pass without checking anything
+    # an empty corpus, or one of empty words, would pass without checking anything
     if args.max_len is not None and args.max_len < 1:
         args.parser.error("--max-len must be at least 1")
     if args.random_count is not None and args.random_count < 1:
         args.parser.error("--random must be at least 1")
+    if args.length is not None and args.length < 1:
+        args.parser.error("--len must be at least 1")
     if (args.random_count is None) != (args.length is None):
         args.parser.error("--len goes with --random: give both or neither")
     if args.max_len is not None and args.seed is not None:
         args.parser.error("--seed goes with --random: exhaustive mode draws no words")
-    if args.length is not None and args.length < 0:
-        args.parser.error("--len must be non-negative")
     if not 1 <= args.sigma <= 26:
         args.parser.error("--sigma must be between 1 and 26")
     checked = 0

@@ -18,10 +18,6 @@ not grow with the alphabet. Both stream their output lazily as generators,
 in canonical order (increasing p, then increasing h), in O(n^2) vector
 operations.
 
-:func:`shift_check` is the paper's select-jump walk, kept as a standalone
-reference: it verifies a candidate through occurrence ranks alone, in
-O(n / p * sigma) lookups.
-
 With ``nontrivial_only`` the candidate range is capped at h + 2p <= n, so
 only periods with at least two full blocks are enumerated (and paid for);
 there select gains only what the M and G tables prune.
@@ -31,10 +27,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .rank_select import SelectIndex, compute_g, compute_m, compute_select
-from .words import Period, PrefixParikhTable, Word, contains_weak
+from .rank_select import compute_g, compute_m, compute_select
+from .words import Period, PrefixParikhTable, Word
 
-__all__ = ["brute_force_periods", "select_periods", "shift_check"]
+__all__ = ["brute_force_periods", "select_periods"]
 
 
 def _verified_periods(
@@ -135,42 +131,6 @@ def brute_force_periods(
     one-block candidate (h + 2p > n) has no remaining block to walk.
     """
     return _verified_periods(table, nontrivial_only)
-
-
-def shift_check(table: PrefixParikhTable, idx: SelectIndex, h: int, p: int) -> bool:
-    """Whether (h, p) is an Abelian period, with empty tail, of the longest
-    prefix it tiles exactly (length n - ((n - h) mod p)).
-
-    Instead of comparing block vectors, each step asks select where the
-    cumulative count of every letter must land: after k blocks the word
-    must contain head[a] + k * block[a] occurrences of a within the first
-    h + k*p positions. An undefined select answer fails the candidate.
-    O(n / p * sigma) time, O(sigma) extra space.
-    """
-    n = table.n
-    if not 0 <= h < p:
-        raise ValueError(f"head/period ({h}, {p}) violates 0 <= h < p")
-    if h + p > n:
-        raise ValueError(f"period ({h}, {p}) does not fit in a word of length {n}")
-    head = table.factor(1, h)
-    block = table.factor(h + 1, p)
-    if not contains_weak(head, block):
-        return False
-    C, S = idx.C, idx.S
-    sigma = len(C) - 1
-    i = h + p
-    while i + p <= n:
-        k1 = 1 + i // p
-        limit = i + p
-        for ai in range(sigma):
-            r = head[ai] + k1 * block[ai]
-            if r:
-                if r > C[ai + 1] - C[ai]:
-                    return False
-                if S[C[ai] + r - 2] > limit:
-                    return False
-        i += p
-    return True
 
 
 def _select_bound(word: Word) -> list[int]:

@@ -42,14 +42,13 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Iterator
 
-from .words import Period, PrefixParikhTable, period_order_key
+from .words import Period, PrefixParikhTable
 
 __all__ = [
     "online_array",
     "online_list",
     "online_heap",
     "extract_until_ok",
-    "table_final_periods",
 ]
 
 Sink = Callable[[int, "set[Period]"], None]
@@ -170,11 +169,6 @@ def online_array(
     for hp in state[0]:
         t[hp] = table.n
     return t
-
-
-def table_final_periods(t: dict[Period, int], n: int) -> list[Period]:
-    """Period set of the whole word out of an :func:`online_array` table."""
-    return sorted((hp for hp, j in t.items() if j == n), key=period_order_key)
 
 
 def online_list(table: PrefixParikhTable, sink: Sink | None = None) -> list[Period]:

@@ -48,11 +48,6 @@ class SelectIndex:
         self.C = tuple(C)
         self.S = tuple(S)
 
-    def count(self, letter: str) -> int:
-        """Number of occurrences of ``letter`` in the indexed word."""
-        ai = self.alphabet.ind(letter) - 1
-        return self.C[ai + 1] - self.C[ai]
-
     def __repr__(self) -> str:
         return f"SelectIndex(C={list(self.C)}, S={list(self.S)})"
 

@@ -14,7 +14,7 @@ Conventions used across the whole package:
   (see :func:`period_order_key`);
 * Parikh vectors are plain tuples of per-letter counts, indexed by the
   alphabet order. :class:`PrefixParikhTable` stores them packed, one int
-  per prefix, and hands out tuple views through ``row`` and ``factor``.
+  per prefix, and hands out tuple views through ``factor``.
 
 ``is_abelian_period`` is written directly against the definition and acts
 as the correctness oracle for every enumeration algorithm in this package.
@@ -111,12 +111,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.text)
 
-    def symbol(self, i: int) -> str:
-        """The i-th symbol, 1-based."""
-        if not 1 <= i <= len(self.text):
-            raise ValueError(f"position {i} out of range 1..{len(self.text)}")
-        return self.text[i - 1]
-
     def factor(self, i: int, j: int) -> str:
         """The factor from position i to position j inclusive, 1-based."""
         if not (1 <= i and i - 1 <= j <= len(self.text)):
@@ -205,12 +199,6 @@ class PrefixParikhTable:
         width = self.width
         mask = (1 << width) - 1
         return tuple((v >> (width * a)) & mask for a in range(self.sigma))
-
-    def row(self, j: int) -> ParikhVector:
-        """Parikh vector of the prefix w[1..j]; row 0 is the zero vector."""
-        if not 0 <= j <= self.n:
-            raise ValueError(f"prefix length {j} out of range 0..{self.n}")
-        return self._unpack(self.packed[j])
 
     def factor(self, i: int, m: int) -> ParikhVector:
         """Parikh vector of the factor of length m starting at position i."""

@@ -363,6 +363,10 @@ class TestVerifyCommand:
     def test_negative_length_is_a_usage_error(self, cli):
         assert cli("verify", "--random", "2", "--len", "-3")[0] == 2
 
+    def test_zero_length_is_a_usage_error(self, cli):
+        code, out, _ = cli("verify", "--random", "3", "--len", "0")
+        assert code == 2 and "verified" not in out
+
     def test_len_without_random_is_a_usage_error(self, cli):
         code, out, _ = cli("verify", "--max-len", "2", "--len", "50")
         assert code == 2 and "verified" not in out
@@ -410,6 +414,22 @@ class TestVerifyCommand:
         code, out, _ = cli("verify", "--max-len", "3", "--sigma", "2")
         assert code == 1
         assert "select" in out and "disagree" in out
+
+    @pytest.mark.parametrize(
+        "fault, what",
+        [(reversed, "order"), (lambda periods: periods * 2, "duplicate")],
+        ids=["reversed", "duplicated"],
+    )
+    def test_reports_a_fault_in_order_or_duplicates(self, cli, monkeypatch, fault, what):
+        from abelianperiods.offline import select_periods as real
+
+        def broken(table, **kwargs):
+            yield from fault(list(real(table, **kwargs)))
+
+        monkeypatch.setattr("abelianperiods.select_periods", broken)
+        code, out, _ = cli("verify", "--max-len", "3", "--sigma", "2")
+        assert code == 1
+        assert out.count("\n") == 1 and "select" in out and what in out
 
 
 class TestBenchCommand:

@@ -1,4 +1,4 @@
-"""Off-line enumerators: brute force, the pruned select variant, shift_check."""
+"""Off-line enumerators: brute force and the pruned select variant."""
 
 import pytest
 
@@ -7,13 +7,11 @@ from abelianperiods import (
     PrefixParikhTable,
     Word,
     brute_force_periods,
-    compute_select,
     cyclic_word,
     is_abelian_period,
     period_order_key,
     random_word,
     select_periods,
-    shift_check,
     spike_word,
 )
 from abelianperiods.offline import _one_block_starts, _select_bound
@@ -137,43 +135,6 @@ class TestLemmaSuperset:
                 for h in range(min(p - 1, n - p) + 1)
             }
             assert family <= got
-
-
-class TestShiftCheck:
-    def test_golden_cases(self):
-        table = table_of(GOLDEN)
-        idx = compute_select(table.word)
-        assert shift_check(table, idx, 1, 2)
-        assert not shift_check(table, idx, 0, 2)
-        assert shift_check(table, idx, 0, 8)  # single block, nothing to walk
-
-    def test_head_containment_is_part_of_the_answer(self):
-        table = table_of("baa")
-        idx = compute_select(table.word)
-        assert not shift_check(table, idx, 1, 2)
-
-    def test_preconditions(self):
-        table = table_of(GOLDEN)
-        idx = compute_select(table.word)
-        for h, p in [(-1, 2), (2, 2), (5, 4), (0, 9)]:
-            with pytest.raises(ValueError):
-                shift_check(table, idx, h, p)
-
-    @pytest.mark.parametrize("letters,max_len", [("ab", 10), ("abc", 6)])
-    def test_equals_period_of_truncated_prefix(self, letters, max_len):
-        alphabet = Alphabet(letters)
-        for text in words_over(letters, max_len):
-            word = Word(text, alphabet)
-            table = PrefixParikhTable(word)
-            idx = compute_select(word)
-            n = len(text)
-            for p in range(1, n + 1):
-                for h in range(min(p - 1, n - p) + 1):
-                    cut = n - ((n - h) % p)
-                    expected = is_abelian_period(
-                        PrefixParikhTable(word.prefix(cut)), h, p
-                    )
-                    assert shift_check(table, idx, h, p) == expected, (text, h, p)
 
 
 class TestSelectEqualsBruteForce:

@@ -27,7 +27,6 @@ from abelianperiods import (
     random_word,
     select_periods,
     spike_word,
-    table_final_periods,
 )
 from conftest import (
     field_boundary_words,
@@ -64,8 +63,9 @@ class TestOnlineArray:
         assert online_array(table_of(GOLDEN)) == EXAMPLE_TABLE
 
     def test_golden_final_periods(self):
-        t = table_of(GOLDEN)
-        assert table_final_periods(online_array(t), t.n) == list(oracle_periods(GOLDEN))
+        t = online_array(table_of(GOLDEN))
+        final = sorted((hp for hp, j in t.items() if j == len(GOLDEN)), key=period_order_key)
+        assert final == list(oracle_periods(GOLDEN))
 
     def test_single_letter(self):
         assert online_array(table_of("a")) == {(0, 1): 1}
@@ -571,6 +571,8 @@ class TestFinalStateAgreement:
             length = (j % 150) + 1
             table = PrefixParikhTable(random_word(sigma, length, seed=20000 + j))
             expected = list(select_periods(table))
-            assert table_final_periods(online_array(table), table.n) == expected
+            t = online_array(table)
+            final = sorted((hp for hp, j in t.items() if j == length), key=period_order_key)
+            assert final == expected
             assert sorted(online_list(table), key=period_order_key) == expected
             assert sorted(online_heap(table), key=period_order_key) == expected

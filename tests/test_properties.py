@@ -56,7 +56,7 @@ def test_periods_and_filter_over_arbitrary_alphabets(case):
     word = Word(text, alphabet)
     table = PrefixParikhTable(word)
     for j in range(n + 1):
-        assert table.row(j) == parikh(Word(text[:j], alphabet))
+        assert table.factor(1, j) == parikh(Word(text[:j], alphabet))
     expected = recount_periods(text)
     capped = [(h, p) for h, p in expected if h + 2 * p <= n]
     for algo in ALGOS:

@@ -44,16 +44,9 @@ class TestAlphabet:
 class TestWord:
     def test_positions_are_one_based(self):
         w = Word("abaababa")
-        assert w.symbol(1) == "a" and w.symbol(2) == "b"
+        assert w.factor(1, 1) == "a" and w.factor(2, 2) == "b"
         assert w.factor(2, 4) == "baa"
         assert len(w) == 8
-
-    def test_symbol_bounds(self):
-        w = Word("ab")
-        with pytest.raises(ValueError):
-            w.symbol(0)
-        with pytest.raises(ValueError):
-            w.symbol(3)
 
     def test_explicit_alphabet_validates_symbols(self):
         Word("bbb", Alphabet("ab"))
@@ -134,16 +127,16 @@ class TestFactorParikh:
     def test_rows(self):
         w = Word("abaababa")
         t = PrefixParikhTable(w)
-        assert t.row(0) == (0, 0)
-        assert t.row(8) == parikh(w)
+        assert t.factor(1, 0) == (0, 0)
+        assert t.factor(1, 8) == parikh(w)
         for j in range(1, 9):
-            delta = tuple(x - y for x, y in zip(t.row(j), t.row(j - 1)))
-            unit = tuple(int(a == w.symbol(j)) for a in w.alphabet)
+            delta = tuple(x - y for x, y in zip(t.factor(1, j), t.factor(1, j - 1)))
+            unit = tuple(int(a == w.factor(j, j)) for a in w.alphabet)
             assert delta == unit
 
 
 class TestPackedFieldBoundaries:
-    """Counts that fill a packed field: row and factor against parikh."""
+    """Counts that fill a packed field: prefix and factor vectors against parikh."""
 
     @pytest.mark.parametrize("text, letters", field_boundary_words())
     def test_rows_and_factors_match_parikh(self, text, letters):
@@ -151,7 +144,7 @@ class TestPackedFieldBoundaries:
         t = table_of(text, alphabet)
         n = len(text)
         for j in range(n + 1):
-            assert t.row(j) == parikh(Word(text[:j], alphabet)), j
+            assert t.factor(1, j) == parikh(Word(text[:j], alphabet)), j
         for i in {1, 2, n // 2 + 1, n} & set(range(1, n + 1)):
             for m in range(n - i + 2):
                 expected = parikh(Word(text[i - 1 : i - 1 + m], alphabet))
@@ -161,7 +154,7 @@ class TestPackedFieldBoundaries:
     def test_packed_containment_matches_tuples(self, text, letters):
         t = table_of(text, Alphabet(letters))
         guard = t.guard
-        rows = [t.row(j) for j in range(t.n + 1)]
+        rows = [t.factor(1, j) for j in range(t.n + 1)]
         for x, xs in zip(t.packed, rows):
             for y, ys in zip(t.packed, rows):
                 packed_leq = ((y | guard) - x) & guard == guard
