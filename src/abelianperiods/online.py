@@ -2,30 +2,40 @@
 
 A period of a prefix can only survive an extension, never reappear: if
 (h, p) fails for w[1..i] it fails for every longer prefix. The periods of
-w[1..i] are therefore the survivors among those of w[1..i-1], found by the
-extension test :func:`_survivors`, plus the new candidates (h, i - h) with
-2h < i whose head fits strictly in the rest of the prefix. Head containment
-is monotone in h, so those seeds are h < k for the count k that
-:func:`_fitting_heads` returns. Each extension or head test is one
-operation on packed Parikh vectors, whatever the alphabet size.
-
-The list step's extension test is keyed. Every full block of a live
-period (h, p) equals its first, so its block vector B = P[h+p] − P[h] is
-fixed for its whole life; with mid the end of its last full block, its key
-is K = B + guard + P[mid]. At position i the tail is P[i] − P[mid], and
-``K − P[i]`` is B minus that tail over the guard bits: one subtraction
-tests the tail against the block, a just-completed block included, since
-containment at equal length is equality.
+w[1..i] are therefore the survivors among those of w[1..i-1] plus the new
+candidates (h, i - h) with 2h < i whose head fits strictly in the rest of
+the prefix. Head containment is monotone in h and in i, so those seeds are
+h < k for the count k that :func:`_fitting_heads` returns, a count that
+never decreases along the word.
 
 One driver, :func:`_sweep`, seeds each position and asks a survival step
 which live periods die there. :func:`online_list` and :func:`online_array`
-use the list step, which retests every live period, and record it
+use the packed step, which retests every live period, and record it
 differently: the live list itself, or a table of the longest prefix each
-pair survived. :func:`online_heap` uses the bucket step. The members of a
-bucket have their last full blocks ending at one position s, the bucket
-start, so they share the tail w[s+1..i] and their blocks nest by length:
-when the minimum (p, h) survives, the whole bucket does. With
-``base = guard + P[s] − P[i]`` once per bucket, it survives iff
+pair survived. :func:`online_heap` uses the bucket step.
+
+The packed step (:class:`_Slots`, :func:`_packed_step`) gives every live
+period a slot: one W-bit field in each of a few Python ints, W a multiple
+of 8 with guard bit g = 2^(W-1) > 2n. Every full block of a live period
+(h, p) equals its first, so its block vector B is fixed for its whole life.
+Only the field of the letter c = w[i] of its tail grows at position i, so
+the period survives i iff cnt_c(i) − cnt_c(mid) ≤ B_c, with mid the end of
+its last full block before i; a tail that just became a full block passes
+exactly when it equals B, since containment at equal length is equality.
+Letter c keeps one int of E = g + cnt_c(mid) + B_c per slot, and
+``E − cnt_c(i)·ones`` tests every live period at once: a slot fails iff its
+guard bit clears, and no field ever borrows from its neighbour. The ints of
+other letters are not touched at i. A countdown int tells when each slot
+completes a block, and a block counter int lets letter c add B_c to the
+fields that moved on since its last update: at most once, as every full
+block contains a c when B_c ≥ 1. Seeds reach a letter's ints when it next
+occurs, one block per birth position. Slots of dead periods are tombstoned
+and dropped once they outnumber the live ones.
+
+The members of a heap bucket have their last full blocks ending at one
+position s, the bucket start, so they share the tail w[s+1..i] and their
+blocks nest by length: when the minimum (p, h) survives, the whole bucket
+does. With ``base = guard + P[s] − P[i]`` once per bucket, it survives iff
 ``(P[h+p] − P[h] + base) & guard == guard`` (:func:`extract_until_ok`), and
 it has just completed a block iff i − s == p.
 
@@ -40,6 +50,8 @@ hands the sink a copy. Without a sink no per-prefix sets are materialised.
 from __future__ import annotations
 
 import heapq
+import re
+from itertools import compress
 from typing import Any, Callable, Iterator
 
 from .words import Period, PrefixParikhTable
@@ -53,51 +65,17 @@ __all__ = [
 
 Sink = Callable[[int, "set[Period]"], None]
 Buckets = list[tuple[int, list[tuple[int, int]]]]
-Keyed = tuple[list[Period], list[int]]
 
 
-def _survivors(
-    table: PrefixParikhTable, i: int, periods: list[Period], keys: list[int]
-) -> tuple[list[Period], list[int], list[Period]]:
-    """Split ``periods`` (periods of w[1..i-1], with their keys at i - 1 in
-    ``keys``) into the survivors of position i with their keys at i and the
-    periods that die there, all in their given order.
+def _fitting_heads(table: PrefixParikhTable, i: int, h: int) -> int:
+    """The count k of heads h with 2h < i strictly contained in w[h+1..i],
+    given that the heads below ``h`` fit.
 
-    One subtraction per period: with K its key, ``K − P[i]`` is the guard
-    bits plus the block vector minus the current tail, so the tail fits in
-    the block exactly when every guard bit is still set. It equals the guard
-    bits alone exactly when the tail has just become a full block equal to
-    the first; then the last full block ends at i and K grows by the block
-    vector. Keys are exact ints, and carries between the fields of K never
-    matter: only ``K − P[i]`` is inspected. A whole list is filtered per call
-    because the test is the on-line algorithms' inner loop.
+    Head containment is monotone in h, so the fitting heads are h < k. It
+    is monotone in i too, so the count at i − 1 is a valid start.
     """
     P, guard = table.packed, table.guard
     Pi = P[i]
-    out: list[Period] = []
-    out_keys: list[int] = []
-    dead: list[Period] = []
-    for hp, key in zip(periods, keys):
-        slack = key - Pi
-        if slack & guard != guard:
-            dead.append(hp)
-            continue
-        if slack == guard:
-            h, p = hp
-            key += P[h + p] - P[h]
-        out.append(hp)
-        out_keys.append(key)
-    return out, out_keys, dead
-
-
-def _fitting_heads(table: PrefixParikhTable, i: int) -> int:
-    """The count k of heads h with 2h < i strictly contained in w[h+1..i].
-
-    Head containment is monotone in h, so the fitting heads are h < k.
-    """
-    P, guard = table.packed, table.guard
-    Pi = P[i]
-    h = 0
     while 2 * h < i:
         ph = P[h]
         if (((Pi - ph) | guard) - ph) & guard != guard:
@@ -121,8 +99,10 @@ def _sweep(
     is copied to the sink. Callers must not mutate what is yielded.
     """
     running: set[Period] | None = None if sink is None else set()
+    k = 0
     for i in range(1, table.n + 1):
-        seeds = [(h, i - h) for h in range(_fitting_heads(table, i))]
+        k = _fitting_heads(table, i, k)
+        seeds = [(h, i - h) for h in range(k)]
         state, dead = step(table, i, state, seeds)
         if running is not None:
             running.difference_update(dead)
@@ -131,19 +111,182 @@ def _sweep(
         yield i, state, seeds, dead
 
 
-def _list_step(
-    table: PrefixParikhTable, i: int, state: Keyed, seeds: list[Period]
-) -> tuple[Keyed, list[Period]]:
-    """Survival step over a plain list and its parallel list of keys: every
-    live period is retested, the survivors keep their order and the seeds
-    follow them. A seed (h, i - h) has just completed its first block, so
-    its key is ``2·P[i] + guard − P[h]``."""
-    live, keys, dead = _survivors(table, i, *state)
-    P = table.packed
-    base = 2 * P[i] + table.guard
-    live += seeds
-    keys += [base - P[h] for h, _ in seeds]
-    return (live, keys), dead
+class _Slots:
+    """The live periods of the packed step, ``live[j]`` in slot j: bits
+    ``j·W`` to ``j·W + W − 1`` of every int below. Dead periods keep their
+    slot, a tombstone, until :meth:`_compact` drops it.
+
+    * ``alive``: a 1 in every live slot; ``guards`` their guard bits.
+    * ``countdown``: g − 1 plus the positions to go until the next block
+      completes; it drops below g on completion and then gains ``periods``
+      (p) back.
+    * ``blocks``: the number of blocks completed since birth.
+    * per letter c, brought up to date only where w[i] = c: ``limit[c]``
+      (E = g + cnt_c(mid) + B_c), ``block[c]`` (B_c) and ``seen[c]``, the
+      ``blocks`` int at its last update.
+    * ``births``: ``(first slot, i, k)`` per position i that seeded k
+      heads; ``synced[c]`` counts those already in letter c's ints.
+
+    The ints of dead slots stay frozen in [0, 2^W), so they borrow from no
+    neighbour either.
+    """
+
+    __slots__ = (
+        "width", "top", "ones", "heads", "prefix", "live", "tombstones", "alive",
+        "guards", "countdown", "blocks", "periods", "births", "limit", "block",
+        "seen", "synced",
+    )
+
+    def __init__(self, table: PrefixParikhTable):
+        n = table.n
+        self.width = width = 8 * -(-(n.bit_length() + 2) // 8)
+        self.top = 1 << (width - 1)
+        # a position seeds at most the heads h with 2h < n
+        heads = range((n + 1) // 2)
+        size = width // 8
+        self.heads = int.from_bytes(b"".join(h.to_bytes(size, "little") for h in heads), "little")
+        self.ones = int.from_bytes((1).to_bytes(size, "little") * len(heads), "little")
+        # per letter, cnt_c(j) for j = 0..n in W-bit fields; built on first use
+        self.prefix: dict[int, bytes] = {}
+        self.live: list[Period] = []
+        self.tombstones = 0
+        self.alive = self.guards = self.countdown = self.blocks = self.periods = 0
+        self.births: list[tuple[int, int, int]] = []
+        self.limit: dict[int, int] = {}
+        self.block: dict[int, int] = {}
+        self.seen: dict[int, int] = {}
+        self.synced: dict[int, int] = {}
+
+    def _sync(self, table: PrefixParikhTable, c: int) -> None:
+        """Bring the seeds born since letter c's last update into its ints.
+
+        A seed (h, i − h) has just completed its first block, so its E is
+        g + 2·cnt_c(i) − cnt_c(h), with B_c = cnt_c(i) − cnt_c(h); its
+        ``seen`` field is 0, the ``blocks`` field it was born with.
+        """
+        births = self.births
+        first = self.synced.get(c, 0)
+        if first == len(births):
+            return
+        size = self.width // 8
+        prefix = self.prefix.get(c)
+        if prefix is None:
+            shift, mask = table.width * c, (1 << table.width) - 1
+            prefix = self.prefix[c] = b"".join(
+                ((v >> shift) & mask).to_bytes(size, "little") for v in table.packed
+            )
+        counts, heads = [], []
+        for _, i, k in births[first:]:
+            counts.append(prefix[i * size : (i + 1) * size] * k)
+            heads.append(prefix[: k * size])
+        region = b"".join(counts)
+        count = int.from_bytes(region, "little")
+        block = count - int.from_bytes(b"".join(heads), "little")
+        top = int.from_bytes(self.top.to_bytes(size, "little") * (len(region) // size), "little")
+        at = births[first][0] * self.width
+        self.limit[c] = self.limit.get(c, 0) | (block + count + top) << at
+        self.block[c] = self.block.get(c, 0) | block << at
+        self.synced[c] = len(births)
+
+    def _seed(self, i: int, seeds: list[Period]) -> None:
+        """Give the seeds born at i, (h, i − h) for h < k, the next k slots."""
+        width, k = self.width, len(seeds)
+        at = width * len(self.live)
+        cut = (1 << (width * k)) - 1
+        ones = self.ones & cut
+        periods = i * ones - (self.heads & cut)
+        self.births.append((len(self.live), i, k))
+        self.live += seeds
+        self.alive |= ones << at
+        self.guards |= ones << (at + width - 1)
+        self.periods |= periods << at
+        self.countdown |= (periods + (self.top - 1) * ones) << at
+
+    def _compact(self, table: PrefixParikhTable) -> None:
+        """Drop the tombstones from ``live`` and from every int.
+
+        The live slots are cut into runs, and each int is rebuilt from the
+        bytes of those runs. Every letter of the word first takes in the
+        pending seeds, because a birth block stops being a constant block
+        once its dead slots are gone.
+        """
+        size = self.width // 8
+        nbytes = len(self.live) * size
+        flags = self.alive.to_bytes(nbytes, "little")[::size]
+        runs = [slice(m.start() * size, m.end() * size) for m in re.finditer(b"\x01+", flags)]
+
+        def squeeze(v: int) -> int:
+            data = v.to_bytes(nbytes, "little")
+            return int.from_bytes(b"".join([data[run] for run in runs]), "little")
+
+        if runs:
+            last, mask = table.packed[table.n], (1 << table.width) - 1
+            for c in range(table.sigma):
+                if (last >> (table.width * c)) & mask:
+                    self._sync(table, c)
+        for ints in (self.limit, self.block, self.seen):
+            for c in ints:
+                ints[c] = squeeze(ints[c])
+        self.live = list(compress(self.live, flags))
+        self.alive = squeeze(self.alive)
+        self.guards = self.alive << (self.width - 1)
+        self.countdown = squeeze(self.countdown)
+        self.blocks = squeeze(self.blocks)
+        self.periods = squeeze(self.periods)
+        self.births = []
+        self.synced = {}
+        self.tombstones = 0
+
+    def alive_periods(self) -> list[Period]:
+        """The live periods, tombstones skipped, in slot order."""
+        size = self.width // 8
+        flags = self.alive.to_bytes(len(self.live) * size, "little")[::size]
+        return list(compress(self.live, flags))
+
+
+def _packed_step(
+    table: PrefixParikhTable, i: int, slots: _Slots, seeds: list[Period]
+) -> tuple[_Slots, list[Period]]:
+    """Survival step over the packed slots: every live period is retested by
+    one subtraction on the ints of letter c = w[i], the survivors keep their
+    slots and the seeds take the next ones. Returns the dead in slot order.
+    """
+    P, width = table.packed, slots.width
+    Pi = P[i]
+    shift = (Pi - P[i - 1]).bit_length() - 1
+    c = shift // table.width
+    count = (Pi >> shift) & ((1 << table.width) - 1)
+    slots._sync(table, c)
+    limit, alive, guards, blocks = slots.limit.get(c, 0), slots.alive, slots.guards, slots.blocks
+    fields = (1 << width) - 1
+    # the slots whose last full block moved on since c's last update; bit 0
+    # of the difference is enough, and bitwise operations are the cheap ones
+    moved = (blocks ^ slots.seen.get(c, 0)) & alive
+    if moved:
+        limit += slots.block[c] & moved * fields
+    slots.limit[c] = limit
+    slots.seen[c] = blocks
+    lost = guards ^ (guards & (limit - count * alive))
+    dead: list[Period] = []
+    if lost:
+        size = width // 8
+        flags = lost.to_bytes(len(slots.live) * size, "little")[size - 1 :: size]
+        dead = list(compress(slots.live, flags))
+        slots.tombstones += len(dead)
+        slots.guards = guards = guards ^ lost
+        slots.alive = alive = alive ^ (lost >> (width - 1))
+    countdown = slots.countdown - alive
+    done = guards ^ (guards & countdown)
+    if done:
+        done >>= width - 1
+        slots.blocks = blocks + done
+        countdown += slots.periods & done * fields
+    slots.countdown = countdown
+    if 2 * slots.tombstones > len(slots.live):
+        slots._compact(table)
+    if seeds:
+        slots._seed(i, seeds)
+    return slots, dead
 
 
 def online_array(
@@ -160,13 +303,13 @@ def online_array(
     for the pairs alive at the end, -1 when the head does not fit.
     """
     t: dict[Period, int] = {}
-    state: Keyed = ([], [])
-    for i, state, seeds, dead in _sweep(table, _list_step, state, sink):
+    slots = _Slots(table)
+    for i, slots, seeds, dead in _sweep(table, _packed_step, slots, sink):
         for hp in dead:
             t[hp] = i - 1
         for h in range(len(seeds), (i - 1) // 2 + 1):
             t[h, i - h] = -1
-    for hp in state[0]:
+    for hp in slots.alive_periods():
         t[hp] = table.n
     return t
 
@@ -176,10 +319,10 @@ def online_list(table: PrefixParikhTable, sink: Sink | None = None) -> list[Peri
 
     Returns the period list of the whole word (unordered).
     """
-    state: Keyed = ([], [])
-    for _, state, _, _ in _sweep(table, _list_step, state, sink):
+    slots = _Slots(table)
+    for _, slots, _, _ in _sweep(table, _packed_step, slots, sink):
         pass
-    return state[0]
+    return slots.alive_periods()
 
 
 def extract_until_ok(
@@ -194,9 +337,7 @@ def extract_until_ok(
 
     Heap entries are (p, h) pairs so the heap order is the canonical period
     order. The bucket shares one tail, so its part of the test is computed
-    once and each root adds only its block vector. That is not the list
-    step's per-period key, and a :func:`_survivors` call per root would
-    build one each time, so the bucket test lives here. Popped periods are
+    once and each root adds only its block vector. Popped periods are
     this bucket's deaths at i (a failed extension never recovers), returned
     in pop order. A surviving root that just completed a block migrates to
     ``new_heap``, the bucket starting at i. A heap whose root already

@@ -13,6 +13,7 @@ from abelianperiods import (
     PrefixParikhTable,
     Word,
     abelian_periods,
+    contains_strict,
     contains_weak,
     cyclic_word,
     extract_until_ok,
@@ -38,6 +39,7 @@ from conftest import (
 )
 
 GOLDEN = "abaababa"
+ALPHABET_26 = "abcdefghijklmnopqrstuvwxyz"
 
 EXAMPLE_TABLE = {
     (0, 1): 1, (0, 2): 3, (0, 3): 8, (0, 4): 6,
@@ -254,6 +256,31 @@ class TestPrefixOracle:
                     assert (h, p) not in oracle_periods(text[: h + p]), (text, h, p)
 
 
+def resumed_seed_counts(table):
+    """The seed count of every position, as the driver finds it."""
+    def step(table, i, state, seeds):
+        return state, []
+
+    return [len(seeds) for _, _, seeds, _ in abelianperiods.online._sweep(table, step, None)]
+
+
+@pytest.mark.parametrize("letters,max_len", [("ab", 10), ("abc", 6)])
+def test_resumed_seed_scan_matches_definition(letters, max_len):
+    # the driver resumes the head scan at the previous count; from scratch,
+    # each count is the number of heads h with 2h < i that fit
+    alphabet = Alphabet(letters)
+    for text in words_over(letters, max_len):
+        table = table_of(text, alphabet)
+        fitting = [
+            sum(
+                contains_strict(table.factor(1, h), table.factor(h + 1, i - h))
+                for h in range((i - 1) // 2 + 1)
+            )
+            for i in range(1, len(text) + 1)
+        ]
+        assert resumed_seed_counts(table) == fitting, text
+
+
 @pytest.fixture
 def record_events(monkeypatch):
     """Run an on-line algorithm with a sink and return the born/died events
@@ -304,48 +331,86 @@ class TestEvents:
 
 
 @pytest.fixture
-def stale_keys(monkeypatch):
-    """Run a list-step algorithm and return, after every position i, the
-    live periods (h, p) whose key is not ``2·P[mid] − P[mid − p] + guard``
-    with ``mid = i − (i − h) mod p``, as ``(i, h, p)``, and the number of
-    keys checked."""
+def packed_slots(monkeypatch):
+    """Run a packed-step algorithm and decode its slots after every position
+    i, against the definition and against a plain list kept the way the
+    list algorithm is written: the survivors in their order, then the seeds.
+
+    For every live slot of (h, p), with mid = i − (i − h) mod p: ``periods``
+    holds p, ``blocks`` (mid − h) / p − 1, ``countdown`` g − 1 + mid + p − i
+    and ``guards`` g. For the slots tested at i, the ints of the letter c =
+    w[i] hold B_c and g + cnt_c(mid') + B_c, mid' being mid at i − 1. The
+    dead of each position must come in list order. Returns the number of
+    slots checked and of compactions that kept some slot.
+    """
     sweep = abelianperiods.online._sweep
-    stale = []
-    checked = [0]
+    counts = {}
 
     def checker(table, *args, **kwargs):
-        P, guard = table.packed, table.guard
-        for i, state, seeds, dead in sweep(table, *args, **kwargs):
-            live, keys = state
-            assert len(keys) == len(live), i
-            for (h, p), key in zip(live, keys):
+        text = table.word.text
+        last = prefix_lifetimes(text)
+        P, tw = table.packed, table.width
+
+        def cnt(c, j):
+            return (P[j] >> (tw * c)) & ((1 << tw) - 1)
+
+        expected, slots_before = [], 0
+        for i, slots, seeds, dead in sweep(table, *args, **kwargs):
+            width = slots.width
+            g, mask = 1 << (width - 1), (1 << width) - 1
+
+            def field(v, j):
+                return (v >> (width * j)) & mask
+
+            assert dead == [hp for hp in expected if last[hp] == i - 1], (text, i)
+            tested = [hp for hp in expected if last[hp] >= i]
+            expected = tested + seeds
+            live = slots.live
+            kept = [j for j in range(len(live)) if field(slots.alive, j)]
+            assert [live[j] for j in kept] == expected, (text, i)
+            assert slots.guards == slots.alive << (width - 1), (text, i)
+            if len(live) < slots_before + len(seeds) and tested:
+                counts["compactions"] += 1
+            slots_before = len(live)
+            c = table.word.alphabet.ind(text[i - 1]) - 1
+            limit, block = slots.limit[c], slots.block.get(c, 0)
+            for j in kept:
+                h, p = live[j]
                 mid = i - (i - h) % p
-                if key != 2 * P[mid] - P[mid - p] + guard:
-                    stale.append((i, h, p))
-            checked[0] += len(keys)
-            yield i, state, seeds, dead
+                assert field(slots.periods, j) == p, (text, i, h, p)
+                assert field(slots.blocks, j) == (mid - h) // p - 1, (text, i, h, p)
+                assert field(slots.countdown, j) == g - 1 + mid + p - i, (text, i, h, p)
+                if h + p < i:
+                    before = i - 1 - (i - 1 - h) % p
+                    b = cnt(c, h + p) - cnt(c, h)
+                    assert field(block, j) == b, (text, i, h, p)
+                    assert field(limit, j) == g + cnt(c, before) + b, (text, i, h, p)
+            counts["slots"] += len(kept)
+            yield i, slots, seeds, dead
 
     monkeypatch.setattr(abelianperiods.online, "_sweep", checker)
 
     def run(algorithm, table):
-        stale.clear()
-        checked[0] = 0
+        counts.update(slots=0, compactions=0)
         algorithm(table)
-        return list(stale), checked[0]
+        return counts["slots"], counts["compactions"]
 
     return run
 
 
 @pytest.mark.parametrize("algorithm", [online_array, online_list])
 @pytest.mark.parametrize("letters,max_len", [("ab", 9), ("abc", 6)])
-def test_keys_follow_the_last_full_block(algorithm, stale_keys, letters, max_len):
-    # a stale key can leave a survival outcome right by chance, so the keys
-    # themselves are checked after every position
+def test_packed_slots_follow_the_definition(algorithm, packed_slots, letters, max_len):
+    # a wrong field can leave a survival outcome right by chance, so the
+    # fields themselves are checked after every position; some compaction
+    # must keep live slots, or the bytes slicing goes untested
     alphabet = Alphabet(letters)
+    compactions = 0
     for text in words_over(letters, max_len):
-        stale, checked = stale_keys(algorithm, table_of(text, alphabet))
-        assert stale == [], (text, stale[:5])
+        checked, compacted = packed_slots(algorithm, table_of(text, alphabet))
         assert checked, text
+        compactions += compacted
+    assert compactions
 
 
 @pytest.fixture
@@ -406,32 +471,29 @@ def test_mass_deaths(algorithm, text):
     assert collect_prefix_sets(algorithm, table_of(text)) == list(prefix_sets(text))
 
 
+@pytest.mark.parametrize("algorithm", [online_array, online_list])
 @pytest.mark.parametrize("text", MASS_DEATH_WORDS)
-def test_survivors_keep_order_and_advance_keys(text):
-    # the live periods of every prefix, in a scrambled order, through one
-    # call of the list step's filter
-    table = table_of(text)
-    P, guard = table.packed, table.guard
-    last = prefix_lifetimes(text)
+def test_packed_slots_through_mass_deaths(algorithm, packed_slots, text):
+    checked, _ = packed_slots(algorithm, table_of(text))
+    assert checked, text
 
-    def key(h, p, i):
-        mid = i - (i - h) % p
-        return 2 * P[mid] - P[mid - p] + guard
 
-    deaths = 0
-    for i, live in prefix_sets(text[:-1]):
-        periods = sorted(live, key=lambda hp: (hp[0] * 7919 + hp[1] * 104729) % 1009)
-        keys = [key(h, p, i) for h, p in periods]
-        out, out_keys, dead = abelianperiods.online._survivors(table, i + 1, periods, keys)
-        assert dead == [hp for hp in periods if last[hp] == i], (text, i)
-        assert out == [hp for hp in periods if last[hp] > i], (text, i)
-        assert out_keys == [key(h, p, i + 1) for h, p in out], (text, i)
-        for (h, p), k in zip(out, out_keys):
-            if (i + 1 - h) % p == 0:
-                # a completed block moves the key on by the block vector
-                assert k - keys[periods.index((h, p))] == P[h + p] - P[h]
-        deaths += len(dead)
-    assert deaths, text
+@pytest.mark.parametrize("k", [7, 20, 40])
+def test_mass_deaths_compact_the_slots(monkeypatch, k):
+    # every live period of a^3k dies at the first b: the tombstones then
+    # outnumber the live slots, which are dropped before the next seeds
+    compact = abelianperiods.online._Slots._compact
+    sizes = []
+
+    def recorder(slots, table):
+        sizes.append((len(slots.live), slots.tombstones))
+        compact(slots, table)
+
+    monkeypatch.setattr(abelianperiods.online._Slots, "_compact", recorder)
+    text = "a" * (3 * k) + "b" * k
+    assert collect_prefix_sets(online_list, table_of(text)) == list(prefix_sets(text))
+    live = sum(1 for p in range(1, 3 * k + 1) for h in range(min(p - 1, 3 * k - p) + 1))
+    assert (live, live) in sizes
 
 
 # n = 300, beyond any exhaustive corpus: the per-prefix sets of a binary
@@ -459,8 +521,46 @@ class TestAtScale:
         algorithm(table_of(text), check)
         assert next(expected, None) is None
 
+    def test_resumed_seed_scan(self, text):
+        table = table_of(text)
+        scratch = [
+            abelianperiods.online._fitting_heads(table, i, 0) for i in range(1, len(text) + 1)
+        ]
+        assert resumed_seed_counts(table) == scratch
+
     def test_whole_array_table(self, text):
         assert online_array(table_of(text)) == prefix_lifetimes(text)
+
+
+# the packed step's slot fields are W = 8·ceil((bitlen(n) + 2) / 8) bits
+# wide, so n = 63 and 64 sit on both sides of a byte boundary, and 127 and
+# 128 on both sides of a change of the prefix table's field width. A unary
+# word fills a field the most; σ = 26 has the most per-letter ints, and an
+# alphabet wider than the word has letters that never occur
+PACKED_LAYOUT_WORDS = [
+    *(
+        pytest.param(random_word(26, 150, seed=s).text, ALPHABET_26, id=f"random-26-150-{s}")
+        for s in (1, 2)
+    ),
+    pytest.param(
+        random_word(2, 120, seed=3).text.translate(str.maketrans("ab", "bd")),
+        "abcde",
+        id="bd-120-abcde",
+    ),
+    pytest.param("b" * 70, "ab", id="b70-ab"),
+    *(pytest.param("a" * n, "a", id=f"a{n}") for n in (63, 64, 127, 128)),
+    *(
+        pytest.param(random_word(2, n, seed=n).text, "ab", id=f"random-2-{n}")
+        for n in (63, 64, 127, 128)
+    ),
+]
+
+
+@pytest.mark.parametrize("algorithm", [online_array, online_list])
+@pytest.mark.parametrize("text, letters", PACKED_LAYOUT_WORDS)
+def test_packed_layout_edges(algorithm, text, letters):
+    got = collect_prefix_sets(algorithm, table_of(text, Alphabet(letters)))
+    assert got == list(prefix_sets(text))
 
 
 class TestDispatch:
