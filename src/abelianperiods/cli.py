@@ -25,7 +25,7 @@ import statistics
 import sys
 import time
 from itertools import islice, product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import ALGOS, ONLINE_ALGOS, iter_abelian_periods
 # the library's one dispatch; perfbench's traced pass calls it under this name
@@ -41,7 +41,11 @@ from .words import (
     periods_by_definition,
 )
 
-FILTERS = ("all", "nontrivial", "nondeducible")
+FILTERS = {
+    "all": lambda periods, n: periods,
+    "nontrivial": filter_nontrivial,
+    "nondeducible": filter_nondeducible,
+}
 # periods per write: one write(2) per line would cost more than the listing
 # when stdout is unbuffered (PYTHONUNBUFFERED=1), while the first byte still
 # comes out after at most one batch
@@ -88,14 +92,6 @@ def cross_check_word(word: Word, *, check_prefixes: bool = True) -> str | None:
     return None
 
 
-def _apply_filter(periods: list[Period], filter_name: str, n: int) -> list[Period]:
-    if filter_name == "nontrivial":
-        return filter_nontrivial(periods, n)
-    if filter_name == "nondeducible":
-        return filter_nondeducible(periods, n)
-    return periods
-
-
 def _write_joined(pieces: Iterator[str], sep: str = "") -> None:
     """Write ``sep.join(pieces)`` to stdout, ``BATCH`` pieces per write."""
     lead = ""
@@ -125,14 +121,11 @@ def cmd_periods(args) -> int:
     if args.prefixes:
         if args.algo not in ONLINE_ALGOS:
             args.parser.error("--prefixes requires an on-line --algo")
-        if args.smallest or args.count or args.as_json:
-            args.parser.error("--prefixes cannot be combined with --smallest, --count or --json")
+        keep = FILTERS[args.filter_name]
 
         def show(i: int, periods: set[Period]) -> None:
             sys.stdout.write(f"# prefix {i}\n")
-            _write_periods(
-                _apply_filter(sorted(periods, key=period_order_key), args.filter_name, i)
-            )
+            _write_periods(keep(sorted(periods, key=period_order_key), i))
 
         run_algorithm(word, args.algo, sink=show)
         return 0
@@ -196,21 +189,10 @@ def _verify_corpus(args) -> Iterator[Word]:
 
 
 def cmd_verify(args) -> int:
-    if (args.max_len is None) == (args.random_count is None):
-        args.parser.error("choose one mode: --max-len (exhaustive) or --random (sampled)")
-    # an empty corpus, or one of empty words, would pass without checking anything
-    if args.max_len is not None and args.max_len < 1:
-        args.parser.error("--max-len must be at least 1")
-    if args.random_count is not None and args.random_count < 1:
-        args.parser.error("--random must be at least 1")
-    if args.length is not None and args.length < 1:
-        args.parser.error("--len must be at least 1")
     if (args.random_count is None) != (args.length is None):
         args.parser.error("--len goes with --random: give both or neither")
     if args.max_len is not None and args.seed is not None:
         args.parser.error("--seed goes with --random: exhaustive mode draws no words")
-    if not 1 <= args.sigma <= 26:
-        args.parser.error("--sigma must be between 1 and 26")
     checked = 0
     for word in _verify_corpus(args):
         message = cross_check_word(word)
@@ -229,12 +211,6 @@ def _word_seed(seed: int, sigma: int, length: int, j: int) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.reps < 0:
-        args.parser.error("--reps must be non-negative")
-    if min(args.lengths) < 0:
-        args.parser.error("--lengths must be non-negative")
-    if not all(1 <= sigma <= 26 for sigma in args.sigmas):
-        args.parser.error("--sigma values must be between 1 and 26")
     try:
         out = open(args.csv_path, "w", newline="") if args.csv_path else sys.stdout
     except OSError as exc:
@@ -278,24 +254,36 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _int_range(low: int, high: int | None = None) -> Callable[[str], int]:
+    """An argparse type: an integer of at least ``low`` and, if given, at most ``high``."""
+
+    # argparse reports the ValueError of a non-number as "invalid integer value"
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or high is not None and value > high:
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, not {value}")
+        return value
+
+    return integer
 
 
-def _algo_list(text: str) -> list[str]:
-    names = [part.strip() for part in text.split(",") if part.strip()]
-    for name in names:
-        if name not in ALGOS:
-            raise argparse.ArgumentTypeError(f"unknown algorithm {name!r}")
-    if not names:
-        raise argparse.ArgumentTypeError("empty algorithm list")
-    return names
+def _algo(name: str) -> str:
+    if name not in ALGOS:
+        raise argparse.ArgumentTypeError(f"unknown algorithm {name!r}")
+    return name
+
+
+def _comma_list(item: Callable[[str], object]) -> Callable[[str], list]:
+    """An argparse type: a non-empty comma-separated list of ``item`` values."""
+
+    def comma_separated(text: str) -> list:
+        values = [item(part.strip()) for part in text.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+
+    return comma_separated
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,11 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--smallest", action="store_true", help="print only the smallest period")
     mode.add_argument("--count", action="store_true", help="print only the number of periods")
     mode.add_argument("--json", action="store_true", dest="as_json", help="print one JSON document")
-    p.add_argument(
-        "--prefixes",
-        action="store_true",
-        help="print the period set of every prefix (on-line algorithms only)",
-    )
+    mode.add_argument("--prefixes", action="store_true", help="print the period set of every prefix (on-line algorithms only)")
     p.set_defaults(func=cmd_periods, parser=p)
 
     p = sub.add_parser("generate", help="print a deterministic test word")
@@ -329,19 +313,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="random words only (default 0)")
     p.set_defaults(func=cmd_generate, parser=p)
 
+    # an empty corpus, or one of empty words, would pass without checking anything
+    positive, sigma = _int_range(1), _int_range(1, 26)
     p = sub.add_parser("verify", help="cross-check all algorithms against the definition")
-    p.add_argument("--max-len", type=int, dest="max_len", help="exhaustive mode: all words up to this length")
-    p.add_argument("--sigma", type=int, default=2, help="alphabet size (both modes)")
-    p.add_argument("--random", type=int, dest="random_count", help="sampled mode: number of random words")
-    p.add_argument("--len", type=int, dest="length", help="sampled mode: word length")
+    corpus = p.add_mutually_exclusive_group(required=True)
+    corpus.add_argument("--max-len", type=positive, dest="max_len", help="exhaustive mode: all words up to this length")
+    corpus.add_argument("--random", type=positive, dest="random_count", help="sampled mode: number of random words")
+    p.add_argument("--sigma", type=sigma, default=2, help="alphabet size (both modes)")
+    p.add_argument("--len", type=positive, dest="length", help="sampled mode: word length")
     p.add_argument("--seed", type=int, help="sampled mode: first word's seed (default 0)")
     p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("bench", help="CSV timing comparison on seeded random words")
-    p.add_argument("--algos", type=_algo_list, default=list(ALGOS[:2]))
-    p.add_argument("--lengths", type=_int_list, default=[100, 1000])
-    p.add_argument("--sigma", type=_int_list, default=[2], dest="sigmas")
-    p.add_argument("--reps", type=int, default=10, help="words per (algo, sigma, length) cell")
+    p.add_argument("--algos", type=_comma_list(_algo), default=list(ALGOS[:2]))
+    p.add_argument("--lengths", type=_comma_list(_int_range(0)), default=[100, 1000])
+    p.add_argument("--sigma", type=_comma_list(sigma), default=[2], dest="sigmas")
+    p.add_argument("--reps", type=_int_range(0), default=10, help="words per (algo, sigma, length) cell")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--filter", choices=("all", "nontrivial"), default="all", dest="filter_name")
     p.add_argument("--csv", dest="csv_path", help="write the CSV here instead of stdout")

@@ -116,7 +116,7 @@ class _Slots:
     ``j·W`` to ``j·W + W − 1`` of every int below. Dead periods keep their
     slot, a tombstone, until :meth:`_compact` drops it.
 
-    * ``alive``: a 1 in every live slot; ``guards`` their guard bits.
+    * ``alive``: a 1 in every live slot.
     * ``countdown``: g − 1 plus the positions to go until the next block
       completes; it drops below g on completion and then gains ``periods``
       (p) back.
@@ -133,8 +133,8 @@ class _Slots:
 
     __slots__ = (
         "width", "top", "ones", "heads", "prefix", "live", "tombstones", "alive",
-        "guards", "countdown", "blocks", "periods", "births", "limit", "block",
-        "seen", "synced",
+        "countdown", "blocks", "periods", "births", "limit", "block", "seen",
+        "synced",
     )
 
     def __init__(self, table: PrefixParikhTable):
@@ -150,7 +150,7 @@ class _Slots:
         self.prefix: dict[int, bytes] = {}
         self.live: list[Period] = []
         self.tombstones = 0
-        self.alive = self.guards = self.countdown = self.blocks = self.periods = 0
+        self.alive = self.countdown = self.blocks = self.periods = 0
         self.births: list[tuple[int, int, int]] = []
         self.limit: dict[int, int] = {}
         self.block: dict[int, int] = {}
@@ -198,7 +198,6 @@ class _Slots:
         self.births.append((len(self.live), i, k))
         self.live += seeds
         self.alive |= ones << at
-        self.guards |= ones << (at + width - 1)
         self.periods |= periods << at
         self.countdown |= (periods + (self.top - 1) * ones) << at
 
@@ -229,7 +228,6 @@ class _Slots:
                 ints[c] = squeeze(ints[c])
         self.live = list(compress(self.live, flags))
         self.alive = squeeze(self.alive)
-        self.guards = self.alive << (self.width - 1)
         self.countdown = squeeze(self.countdown)
         self.blocks = squeeze(self.blocks)
         self.periods = squeeze(self.periods)
@@ -257,7 +255,8 @@ def _packed_step(
     c = shift // table.width
     count = (Pi >> shift) & ((1 << table.width) - 1)
     slots._sync(table, c)
-    limit, alive, guards, blocks = slots.limit.get(c, 0), slots.alive, slots.guards, slots.blocks
+    limit, alive, blocks = slots.limit.get(c, 0), slots.alive, slots.blocks
+    guards = alive << (width - 1)
     fields = (1 << width) - 1
     # the slots whose last full block moved on since c's last update; bit 0
     # of the difference is enough, and bitwise operations are the cheap ones
@@ -273,7 +272,7 @@ def _packed_step(
         flags = lost.to_bytes(len(slots.live) * size, "little")[size - 1 :: size]
         dead = list(compress(slots.live, flags))
         slots.tombstones += len(dead)
-        slots.guards = guards = guards ^ lost
+        guards ^= lost
         slots.alive = alive = alive ^ (lost >> (width - 1))
     countdown = slots.countdown - alive
     done = guards ^ (guards & countdown)

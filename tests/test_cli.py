@@ -138,10 +138,11 @@ class TestPeriodsCommand:
         assert code == 2
 
     def test_prefixes_rejects_other_output_modes(self, cli):
-        code, _, _ = cli(
-            "periods", "--word", "aba", "--algo", "online-heap", "--prefixes", "--count"
-        )
-        assert code == 2
+        for mode in ("--count", "--json", "--smallest"):
+            code, out, _ = cli(
+                "periods", "--word", "aba", "--algo", "online-heap", "--prefixes", mode
+            )
+            assert code == 2 and out == "", mode
 
 
 def _listing(periods) -> str:
@@ -402,6 +403,10 @@ class TestVerifyCommand:
         code, out, _ = cli("verify", "--random", "0", "--len", "5")
         assert code == 2 and "verified" not in out
 
+    @pytest.mark.parametrize("sigma", ["0", "27"])
+    def test_sigma_outside_the_alphabet_is_a_usage_error(self, cli, sigma):
+        assert cli("verify", "--max-len", "2", "--sigma", sigma)[:2] == (2, "")
+
     def test_detects_an_injected_fault(self, cli, monkeypatch):
         from abelianperiods.offline import select_periods as real
 
@@ -431,6 +436,23 @@ class TestVerifyCommand:
         assert code == 1
         assert out.count("\n") == 1 and "select" in out and what in out
 
+    def test_reports_a_per_prefix_fault(self, cli, monkeypatch):
+        # the final lists agree; only the set given for prefix length 2
+        # misses (0, 2), a period of every word of length 2
+        real = abelianperiods.online_heap
+
+        def broken(table, sink=None):
+            def lossy(i, periods):
+                sink(i, periods - {(0, 2)} if i == 2 else periods)
+
+            return real(table, lossy if sink else None)
+
+        monkeypatch.setattr("abelianperiods.online_heap", broken)
+        code, out, _ = cli("verify", "--max-len", "3", "--sigma", "2")
+        assert code == 1
+        assert out.count("\n") == 1
+        assert "online-heap" in out and "at prefix length 2" in out
+
 
 class TestBenchCommand:
     HEADER = "algo,sigma,length,reps,mean_ms,stddev_ms,total_periods"
@@ -457,7 +479,16 @@ class TestBenchCommand:
         assert cli("bench", "--lengths", "-5", "--reps", "1")[0] == 2
 
     def test_zero_sigma_is_a_usage_error(self, cli):
-        assert cli("bench", "--sigma", "0", "--reps", "1")[0] == 2
+        for sigma in ("0", "27"):
+            assert cli("bench", "--sigma", sigma, "--reps", "1")[:2] == (2, ""), sigma
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--lengths", "x"), ("--lengths", ","), ("--algos", ",")],
+        ids=["lengths-not-a-number", "lengths-empty", "algos-empty"],
+    )
+    def test_malformed_list_is_a_usage_error(self, cli, option, value):
+        assert cli("bench", option, value, "--reps", "1")[:2] == (2, "")
 
     def test_same_words_for_every_algorithm(self, cli):
         code, out, _ = cli(
