@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from itertools import compress
+from itertools import accumulate, compress
 from typing import Any, Callable, Iterator
 
 from .words import Period, PrefixParikhTable
@@ -146,8 +146,12 @@ class _Slots:
         size = width // 8
         self.heads = int.from_bytes(b"".join(h.to_bytes(size, "little") for h in heads), "little")
         self.ones = int.from_bytes((1).to_bytes(size, "little") * len(heads), "little")
-        # per letter, cnt_c(j) for j = 0..n in W-bit fields; built on first use
+        # per letter of the word, cnt_c(j) for j = 0..n in W-bit fields
+        codes = table.word.codes
         self.prefix: dict[int, bytes] = {}
+        for c in set(codes):
+            counts = accumulate(map(c.__eq__, codes), initial=0)
+            self.prefix[c] = b"".join(k.to_bytes(size, "little") for k in counts)
         self.live: list[Period] = []
         self.tombstones = 0
         self.alive = self.countdown = self.blocks = self.periods = 0
@@ -157,7 +161,7 @@ class _Slots:
         self.seen: dict[int, int] = {}
         self.synced: dict[int, int] = {}
 
-    def _sync(self, table: PrefixParikhTable, c: int) -> None:
+    def _sync(self, c: int) -> None:
         """Bring the seeds born since letter c's last update into its ints.
 
         A seed (h, i − h) has just completed its first block, so its E is
@@ -169,12 +173,7 @@ class _Slots:
         if first == len(births):
             return
         size = self.width // 8
-        prefix = self.prefix.get(c)
-        if prefix is None:
-            shift, mask = table.width * c, (1 << table.width) - 1
-            prefix = self.prefix[c] = b"".join(
-                ((v >> shift) & mask).to_bytes(size, "little") for v in table.packed
-            )
+        prefix = self.prefix[c]
         counts, heads = [], []
         for _, i, k in births[first:]:
             counts.append(prefix[i * size : (i + 1) * size] * k)
@@ -201,7 +200,7 @@ class _Slots:
         self.periods |= periods << at
         self.countdown |= (periods + (self.top - 1) * ones) << at
 
-    def _compact(self, table: PrefixParikhTable) -> None:
+    def _compact(self) -> None:
         """Drop the tombstones from ``live`` and from every int.
 
         The live slots are cut into runs, and each int is rebuilt from the
@@ -219,10 +218,8 @@ class _Slots:
             return int.from_bytes(b"".join([data[run] for run in runs]), "little")
 
         if runs:
-            last, mask = table.packed[table.n], (1 << table.width) - 1
-            for c in range(table.sigma):
-                if (last >> (table.width * c)) & mask:
-                    self._sync(table, c)
+            for c in self.prefix:
+                self._sync(c)
         for ints in (self.limit, self.block, self.seen):
             for c in ints:
                 ints[c] = squeeze(ints[c])
@@ -249,12 +246,11 @@ def _packed_step(
     one subtraction on the ints of letter c = w[i], the survivors keep their
     slots and the seeds take the next ones. Returns the dead in slot order.
     """
-    P, width = table.packed, slots.width
-    Pi = P[i]
-    shift = (Pi - P[i - 1]).bit_length() - 1
-    c = shift // table.width
-    count = (Pi >> shift) & ((1 << table.width) - 1)
-    slots._sync(table, c)
+    width = slots.width
+    size = width // 8
+    c = table.word.codes[i - 1]
+    count = int.from_bytes(slots.prefix[c][i * size : (i + 1) * size], "little")
+    slots._sync(c)
     limit, alive, blocks = slots.limit.get(c, 0), slots.alive, slots.blocks
     guards = alive << (width - 1)
     fields = (1 << width) - 1
@@ -268,7 +264,6 @@ def _packed_step(
     lost = guards ^ (guards & (limit - count * alive))
     dead: list[Period] = []
     if lost:
-        size = width // 8
         flags = lost.to_bytes(len(slots.live) * size, "little")[size - 1 :: size]
         dead = list(compress(slots.live, flags))
         slots.tombstones += len(dead)
@@ -282,7 +277,7 @@ def _packed_step(
         countdown += slots.periods & done * fields
     slots.countdown = countdown
     if 2 * slots.tombstones > len(slots.live):
-        slots._compact(table)
+        slots._compact()
     if seeds:
         slots._seed(i, seeds)
     return slots, dead

@@ -21,7 +21,9 @@ length n, for every head length h up to (n - 1) // 2:
 
 from __future__ import annotations
 
-from .words import Word
+from itertools import accumulate
+
+from .words import Word, parikh
 
 __all__ = [
     "SelectIndex",
@@ -57,22 +59,14 @@ def compute_select(word: Word) -> SelectIndex:
 
     The empty word gets the trivial index: C all ones, S empty.
     """
-    alphabet = word.alphabet
-    pos = alphabet._pos
-    sigma = alphabet.size
-    counts = [0] * sigma
-    for ch in word.text:
-        counts[pos[ch]] += 1
-    C = [1] * (sigma + 1)
-    for i in range(1, sigma + 1):
-        C[i] = C[i - 1] + counts[i - 1]
+    C = list(accumulate(parikh(word), initial=1))
     S = [0] * len(word)
-    filled = [0] * sigma
-    for i, ch in enumerate(word.text, start=1):
-        ai = pos[ch]
-        S[C[ai] - 1 + filled[ai]] = i
-        filled[ai] += 1
-    return SelectIndex(alphabet, C, S)
+    # the next free S slot (1-based) of each letter's group
+    free = C[:-1]
+    for i, a in enumerate(word.codes, start=1):
+        S[free[a] - 1] = i
+        free[a] += 1
+    return SelectIndex(word.alphabet, C, S)
 
 
 def select(idx: SelectIndex, letter: str, i: int) -> int | None:
@@ -104,7 +98,7 @@ def compute_m(word: Word, idx: SelectIndex) -> list[int]:
     if n == 0:
         return []
     m = [0] * ((n - 1) // 2 + 1)
-    pos = word.alphabet._pos
+    codes = word.codes
     seen = [0] * word.alphabet.size
     C, S = idx.C, idx.S
     blocked = False
@@ -112,7 +106,7 @@ def compute_m(word: Word, idx: SelectIndex) -> list[int]:
         if blocked:
             m[h] = -1
             continue
-        ai = pos[word.text[h - 1]]
+        ai = codes[h - 1]
         seen[ai] += 1
         r = 2 * seen[ai]
         if r > C[ai + 1] - C[ai]:
@@ -135,11 +129,10 @@ def compute_g(word: Word) -> list[int]:
     """
     n = len(word)
     g = [0] * (n + 1)
-    pos = word.alphabet._pos
+    codes = word.codes
     nxt = [0] * word.alphabet.size
-    text = word.text
     for h in range(n, 0, -1):
-        ai = pos[text[h - 1]]
+        ai = codes[h - 1]
         if nxt[ai]:
             g[h - 1] = max(g[h], nxt[ai] - h)
         else:

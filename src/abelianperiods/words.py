@@ -69,9 +69,6 @@ class Alphabet:
         except KeyError:
             raise ValueError(f"letter {letter!r} is not in the alphabet") from None
 
-    def __contains__(self, letter) -> bool:
-        return letter in self._pos
-
     def __iter__(self):
         return iter(self.letters)
 
@@ -94,17 +91,21 @@ class Word:
     The alphabet may be wider than the set of symbols that actually occur
     (e.g. the word ``bbb`` over the alphabet ``ab``). When no alphabet is
     given it is inferred from the text.
+
+    ``codes`` holds the 0-based alphabet rank of each letter, in word order:
+    :func:`parikh`, the prefix table, the select index and the on-line step
+    read the word through it.
     """
 
-    __slots__ = ("text", "alphabet")
+    __slots__ = ("text", "alphabet", "codes")
 
     def __init__(self, text: str, alphabet: Alphabet | None = None):
         if alphabet is None:
             alphabet = Alphabet.from_text(text)
-        else:
-            for ch in text:
-                if ch not in alphabet:
-                    raise ValueError(f"symbol {ch!r} is not in the alphabet")
+        try:
+            self.codes = tuple(map(alphabet._pos.__getitem__, text))
+        except KeyError as e:
+            raise ValueError(f"symbol {e.args[0]!r} is not in the alphabet") from None
         self.text = text
         self.alphabet = alphabet
 
@@ -141,9 +142,8 @@ class Word:
 def parikh(word: Word) -> ParikhVector:
     """Parikh vector of a whole word: per-letter occurrence counts."""
     counts = [0] * word.alphabet.size
-    pos = word.alphabet._pos
-    for ch in word.text:
-        counts[pos[ch]] += 1
+    for a in word.codes:
+        counts[a] += 1
     return tuple(counts)
 
 
@@ -182,18 +182,17 @@ class PrefixParikhTable:
     __slots__ = ("word", "n", "sigma", "width", "guard", "packed")
 
     def __init__(self, word: Word):
-        text = word.text
-        n = len(text)
+        n = len(word)
         sigma = word.alphabet.size
         width = n.bit_length() + 1
-        unit = {a: 1 << (width * i) for a, i in word.alphabet._pos.items()}
+        unit = [1 << (width * a) for a in range(sigma)]
         self.word = word
         self.n = n
         self.sigma = sigma
         self.width = width
         # one guard bit at the top of every field
         self.guard = ((1 << (width * sigma)) - 1) // ((1 << width) - 1) << (width - 1)
-        self.packed = list(accumulate(map(unit.__getitem__, text), initial=0))
+        self.packed = list(accumulate(map(unit.__getitem__, word.codes), initial=0))
 
     def _unpack(self, v: int) -> ParikhVector:
         width = self.width
@@ -230,18 +229,14 @@ def is_abelian_period(table: PrefixParikhTable, h: int, p: int) -> bool:
     return t == 0 or contains_weak(table.factor(n - t + 1, t), block)
 
 
-def periods_by_definition(
-    table: PrefixParikhTable, *, nontrivial_only: bool = False
-) -> Iterator[Period]:
+def periods_by_definition(table: PrefixParikhTable) -> Iterator[Period]:
     """All Abelian periods, straight from the definition, in canonical order.
 
     Tries every admissible (h, p) through :func:`is_abelian_period`; the
-    enumeration algorithms are validated against this. With
-    ``nontrivial_only`` the candidate range is capped at h + 2p <= n.
+    enumeration algorithms are validated against this.
     """
     n = table.n
     for p in range(1, n + 1):
-        hmax = min(p - 1, (n - 2 * p) if nontrivial_only else (n - p))
-        for h in range(hmax + 1):
+        for h in range(min(p - 1, n - p) + 1):
             if is_abelian_period(table, h, p):
                 yield h, p

@@ -484,9 +484,9 @@ def test_mass_deaths_compact_the_slots(monkeypatch, k):
     compact = abelianperiods.online._Slots._compact
     sizes = []
 
-    def recorder(slots, table):
+    def recorder(slots):
         sizes.append((len(slots.live), slots.tombstones))
-        compact(slots, table)
+        compact(slots)
 
     monkeypatch.setattr(abelianperiods.online._Slots, "_compact", recorder)
     text = "a" * (3 * k) + "b" * k

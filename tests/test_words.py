@@ -50,8 +50,23 @@ class TestWord:
 
     def test_explicit_alphabet_validates_symbols(self):
         Word("bbb", Alphabet("ab"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symbol 'c' is not in the alphabet"):
             Word("abc", Alphabet("ab"))
+
+    @pytest.mark.parametrize(
+        "text, alphabet, codes",
+        [
+            ("banana", None, (1, 0, 2, 0, 2, 0)),
+            ("bbb", Alphabet("ab"), (1, 1, 1)),
+            ("", None, ()),
+            ("", Alphabet("ab"), ()),
+        ],
+        ids=["inferred", "wider", "empty", "empty-explicit"],
+    )
+    def test_codes_are_zero_based_ranks(self, text, alphabet, codes):
+        w = Word(text, alphabet)
+        assert w.codes == codes
+        assert w.codes == tuple(w.alphabet.ind(ch) - 1 for ch in text)
 
     def test_empty_word_has_no_periods(self):
         assert list(periods_by_definition(table_of(""))) == []
