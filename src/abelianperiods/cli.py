@@ -64,8 +64,14 @@ def cross_check_word(word: Word, *, check_prefixes: bool = True) -> str | None:
     also compared against the definition on every prefix.
     """
     reference = list(periods_by_definition(PrefixParikhTable(word)))
+    # each on-line algorithm runs once, its sink on the run whose list is checked
+    per_prefix: dict[str, list[set[Period]]] = {}
     for name in ALGOS:
-        got = run_algorithm(word, name)
+        sink = None
+        if check_prefixes and name in ONLINE_ALGOS:
+            sets = per_prefix[name] = []
+            sink = lambda i, periods: sets.append(periods)
+        got = run_algorithm(word, name, sink=sink)
         if got != reference:
             differ = set(got) ^ set(reference)
             if differ:
@@ -75,10 +81,7 @@ def cross_check_word(word: Word, *, check_prefixes: bool = True) -> str | None:
                 # the reference has no duplicates, so a longer list repeats one
                 what = "duplicate periods" if len(got) > len(reference) else "period order"
             return f"word {word.text!r}: {name} vs definition disagree on {what}"
-    if check_prefixes and len(word):
-        per_prefix: dict[str, list[set[Period]]] = {name: [] for name in ONLINE_ALGOS}
-        for name, sets in per_prefix.items():
-            run_algorithm(word, name, sink=lambda i, periods: sets.append(periods))
+    if check_prefixes:
         for i in range(1, len(word) + 1):
             ref_i = set(periods_by_definition(PrefixParikhTable(word.prefix(i))))
             for name, sets in per_prefix.items():

@@ -98,8 +98,9 @@ def _one_block_starts(table: PrefixParikhTable, bound: list[int]) -> list[int]:
     shrinks the tail, so both tests are monotone in p, and the one-block
     periods of h are exactly p in [starts[h], n - h]; starts[h] is n - h + 1
     when there are none. Each entry is a binary search over p from
-    max(h + 1, (n - h) // 2 + 1, bound[h]), which needs ``bound`` to exclude
-    no period: O(n log n) vector operations for the whole table.
+    max((n - h) // 2 + 1, bound[h]) that tests the tail only: ``bound``
+    must exclude no period and have bound[h] >= M[h], where the head
+    already fits. O(n log n) vector operations for the whole table.
     """
     n = table.n
     P, guard = table.packed, table.guard
@@ -108,12 +109,11 @@ def _one_block_starts(table: PrefixParikhTable, bound: list[int]) -> list[int]:
     for h, bh in enumerate(bound):
         ph = P[h]
         hi = n - h + 1
-        lo = min(max(h + 1, (n - h) // 2 + 1, bh), hi)
+        lo = min(max((n - h) // 2 + 1, bh), hi)
         while lo < hi:
             mid = (lo + hi) // 2
             e = P[h + mid]
-            guarded = (e - ph) | guard
-            if (guarded - ph) & guard == guard and (guarded - (Pn - e)) & guard == guard:
+            if (((e - ph) | guard) - (Pn - e)) & guard == guard:
                 hi = mid
             else:
                 lo = mid + 1
@@ -139,11 +139,8 @@ def _select_bound(word: Word) -> list[int]:
     idx = compute_select(word)
     m = compute_m(word, idx)
     g = compute_g(word)
-    try:
-        h_blocked = m.index(-1)  # blocked heads form a suffix of the table
-    except ValueError:
-        h_blocked = len(m)
-    return [max(mh, (gh + 1) // 2) for mh, gh in zip(m[:h_blocked], g)]
+    # blocked heads (-1) form a suffix of the table
+    return [max(mh, (gh + 1) // 2) for mh, gh in zip(m, g) if mh >= 0]
 
 
 def select_periods(

@@ -34,8 +34,11 @@ and dropped once they outnumber the live ones.
 
 The members of a heap bucket have their last full blocks ending at one
 position s, the bucket start, so they share the tail w[s+1..i] and their
-blocks nest by length: when the minimum (p, h) survives, the whole bucket
-does. With ``base = guard + P[s] − P[i]`` once per bucket, it survives iff
+blocks nest by length: when the member of least p, the root, survives, the
+whole bucket does. A bucket gets all its members at s and afterwards only
+loses its root, so the paper's heap is a stack of (h, p) sorted once by
+decreasing p, root last; p fixes h, as s = h + kp with h < p. With
+``base = guard + P[s] − P[i]`` once per bucket, the root survives iff
 ``(P[h+p] − P[h] + base) & guard == guard`` (:func:`extract_until_ok`), and
 it has just completed a block iff i − s == p.
 
@@ -49,9 +52,9 @@ hands the sink a copy. Without a sink no per-prefix sets are materialised.
 
 from __future__ import annotations
 
-import heapq
 import re
 from itertools import accumulate, compress
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .words import Period, PrefixParikhTable
@@ -64,7 +67,7 @@ __all__ = [
 ]
 
 Sink = Callable[[int, "set[Period]"], None]
-Buckets = list[tuple[int, list[tuple[int, int]]]]
+Buckets = list[tuple[int, list[Period]]]
 
 
 def _fitting_heads(table: PrefixParikhTable, i: int, h: int) -> int:
@@ -320,59 +323,59 @@ def online_list(table: PrefixParikhTable, sink: Sink | None = None) -> list[Peri
 
 
 def extract_until_ok(
-    heap: list[tuple[int, int]],
+    stack: list[Period],
     s: int,
     i: int,
     table: PrefixParikhTable,
-    new_heap: list[tuple[int, int]],
-) -> list[tuple[int, int]]:
-    """Pop failing minima off ``heap``, the bucket starting at ``s``, until
+    new_stack: list[Period],
+) -> list[Period]:
+    """Pop failing roots off ``stack``, the bucket starting at ``s``, until
     its root survives position i.
 
-    Heap entries are (p, h) pairs so the heap order is the canonical period
-    order. The bucket shares one tail, so its part of the test is computed
-    once and each root adds only its block vector. Popped periods are
-    this bucket's deaths at i (a failed extension never recovers), returned
-    in pop order. A surviving root that just completed a block migrates to
-    ``new_heap``, the bucket starting at i. A heap whose root already
-    survives is otherwise left untouched.
+    The stack holds (h, p) by decreasing p, root last. The bucket shares
+    one tail, so its part of the test is computed once and each root adds
+    only its block vector. Popped periods are this bucket's deaths at i (a
+    failed extension never recovers), returned in pop order. A surviving
+    root that just completed a block moves to ``new_stack``, the bucket
+    starting at i. A stack whose root already survives is otherwise left
+    untouched.
     """
     P, guard = table.packed, table.guard
     base = guard + P[s] - P[i]
-    popped: list[tuple[int, int]] = []
-    while heap:
-        p, h = heap[0]
+    popped: list[Period] = []
+    while stack:
+        h, p = stack[-1]
         if (P[h + p] - P[h] + base) & guard == guard:
             if i - s == p:
-                heapq.heappush(new_heap, heapq.heappop(heap))
+                new_stack.append(stack.pop())
             break
-        popped.append(heapq.heappop(heap))
+        popped.append(stack.pop())
     return popped
 
 
 def _bucket_step(
     table: PrefixParikhTable, i: int, buckets: Buckets, seeds: list[Period]
 ) -> tuple[Buckets, list[Period]]:
-    """Survival step over the buckets, ``(s, heap)`` pairs: each heap is
-    trimmed by :func:`extract_until_ok`, emptied heaps are dropped, and
+    """Survival step over the buckets, ``(s, stack)`` pairs: each stack is
+    trimmed by :func:`extract_until_ok`, emptied stacks are dropped, and
     completed-block roots and seeds form the new bucket starting at i."""
-    new_heap: list[tuple[int, int]] = []
-    popped: list[tuple[int, int]] = []
-    for s, heap in buckets:
-        popped += extract_until_ok(heap, s, i, table, new_heap)
+    new_stack: list[Period] = []
+    dead: list[Period] = []
+    for s, stack in buckets:
+        dead += extract_until_ok(stack, s, i, table, new_stack)
     buckets = [bucket for bucket in buckets if bucket[1]]
-    for h, p in seeds:
-        heapq.heappush(new_heap, (p, h))
-    if new_heap:
-        buckets.append((i, new_heap))
-    return buckets, [(h, p) for p, h in popped]
+    new_stack += seeds
+    if new_stack:
+        new_stack.sort(key=itemgetter(1), reverse=True)
+        buckets.append((i, new_stack))
+    return buckets, dead
 
 
 def online_heap(table: PrefixParikhTable, sink: Sink | None = None) -> set[Period]:
-    """Heap-bucket variant: ongoing periods are grouped into min-heaps by
-    bucket start (:func:`_bucket_step`), one test per bucket on the happy
-    path. Returns the period set of the whole word."""
+    """Heap-bucket variant: ongoing periods are grouped by bucket start
+    into stacks sorted by decreasing p (:func:`_bucket_step`), one test per
+    bucket on the happy path. Returns the period set of the whole word."""
     buckets: Buckets = []
     for _, buckets, _, _ in _sweep(table, _bucket_step, buckets, sink):
         pass
-    return {(h, p) for _, heap in buckets for p, h in heap}
+    return set().union(*(stack for _, stack in buckets))

@@ -90,33 +90,25 @@ def compute_m(word: Word, idx: SelectIndex) -> list[int]:
 
     One pass over the head positions: extending the head by one letter only
     tightens that letter's constraint, whose new bound is where its doubled
-    occurrence count lands. A final pass bumps M[h] == h to h + 1, since a
-    block must be strictly longer than the head it contains. Once a head is
-    blocked (-1) every longer head stays blocked.
+    occurrence count lands. A block must also be strictly longer than the
+    head it contains, hence the h + 1 term. At the first blocked head (-1)
+    the pass stops: every longer head stays blocked.
     """
     n = len(word)
     if n == 0:
         return []
-    m = [0] * ((n - 1) // 2 + 1)
+    m = [-1] * ((n - 1) // 2 + 1)
+    m[0] = 0
     codes = word.codes
     seen = [0] * word.alphabet.size
     C, S = idx.C, idx.S
-    blocked = False
-    for h in range(1, (n - 1) // 2 + 1):
-        if blocked:
-            m[h] = -1
-            continue
+    for h in range(1, len(m)):
         ai = codes[h - 1]
         seen[ai] += 1
         r = 2 * seen[ai]
         if r > C[ai + 1] - C[ai]:
-            m[h] = -1
-            blocked = True
-        else:
-            m[h] = max(m[h - 1] - 1, S[C[ai] + r - 2] - h)
-    for h in range(1, (n - 1) // 2 + 1):
-        if m[h] == h:
-            m[h] = h + 1
+            break
+        m[h] = max(m[h - 1] - 1, S[C[ai] + r - 2] - h, h + 1)
     return m
 
 

@@ -1,6 +1,5 @@
-"""On-line algorithms: per-prefix period sets by array, list and heaps."""
+"""On-line algorithms: per-prefix period sets by array, list and heap buckets."""
 
-import heapq
 from collections import Counter
 
 import pytest
@@ -128,76 +127,75 @@ class TestOnlineHeap:
 
 
 class TestExtractUntilOk:
-    # heaps hold (p, h) pairs so that the heap order is the period order; the
-    # second argument is the bucket start s, where every member's last full
-    # block ends: (1, 2) and (0, 3) both have s = 3 at position 4
+    # stacks hold (h, p) by decreasing p, root last; the second argument is
+    # the bucket start s, where every member's last full block ends: (1, 2)
+    # and (0, 3) both have s = 3 at position 4
 
     def test_every_member_fails(self):
-        heap, fresh = [(2, 1)], []
-        extract_until_ok(heap, 3, 5, table_of("abcbab"), fresh)
-        assert heap == [] and fresh == []
+        stack, fresh = [(1, 2)], []
+        extract_until_ok(stack, 3, 5, table_of("abcbab"), fresh)
+        assert stack == [] and fresh == []
 
     def test_failing_root_then_passing_root(self):
-        heap, fresh = [(2, 1), (3, 0)], []
-        heapq.heapify(heap)
-        extract_until_ok(heap, 3, 5, table_of("abcbab"), fresh)
-        assert heap == [(3, 0)] and fresh == []
+        stack, fresh = [(0, 3), (1, 2)], []
+        extract_until_ok(stack, 3, 5, table_of("abcbab"), fresh)
+        assert stack == [(0, 3)] and fresh == []
 
     def test_single_passing_root_unchanged(self):
-        heap, fresh = [(3, 0)], []
-        extract_until_ok(heap, 3, 5, table_of("abcbab"), fresh)
-        assert heap == [(3, 0)] and fresh == []
+        stack, fresh = [(0, 3)], []
+        extract_until_ok(stack, 3, 5, table_of("abcbab"), fresh)
+        assert stack == [(0, 3)] and fresh == []
 
     def test_passing_root_with_completed_block_migrates(self):
-        heap, fresh = [(2, 1)], []
-        extract_until_ok(heap, 3, 5, table_of("ababa"), fresh)
-        assert heap == [] and fresh == [(2, 1)]
+        stack, fresh = [(1, 2)], []
+        extract_until_ok(stack, 3, 5, table_of("ababa"), fresh)
+        assert stack == [] and fresh == [(1, 2)]
 
     @pytest.mark.parametrize(
-        "heap, s, i, text, popped",
+        "stack, s, i, text, popped",
         [
-            pytest.param([(2, 1)], 3, 5, "abcbab", [(2, 1)], id="every-member-fails"),
-            pytest.param([(2, 1), (3, 0)], 3, 5, "abcbab", [(2, 1)], id="failing-then-passing"),
-            pytest.param([(3, 0)], 3, 5, "abcbab", [], id="single-passing-root"),
-            pytest.param([(2, 1)], 3, 5, "ababa", [], id="completed-block-migrates"),
+            pytest.param([(1, 2)], 3, 5, "abcbab", [(1, 2)], id="every-member-fails"),
+            pytest.param([(0, 3), (1, 2)], 3, 5, "abcbab", [(1, 2)], id="failing-then-passing"),
+            pytest.param([(0, 3)], 3, 5, "abcbab", [], id="single-passing-root"),
+            pytest.param([(1, 2)], 3, 5, "ababa", [], id="completed-block-migrates"),
             # the bucket s = 4 of ababa: (0, 2) and (1, 3) die at 6 on the
             # tail aa, (0, 4) survives
-            pytest.param([(2, 0), (3, 1), (4, 0)], 4, 6, "ababaa", [(2, 0), (3, 1)], id="two-pops"),
+            pytest.param([(0, 4), (1, 3), (0, 2)], 4, 6, "ababaa", [(0, 2), (1, 3)], id="two-pops"),
         ],
     )
-    def test_returns_the_popped_entries(self, heap, s, i, text, popped):
+    def test_returns_the_popped_entries(self, stack, s, i, text, popped):
         # the popped entries are the bucket's deaths, in pop order
-        heapq.heapify(heap)
-        assert extract_until_ok(heap, s, i, table_of(text), []) == popped
+        assert extract_until_ok(stack, s, i, table_of(text), []) == popped
 
     # (0, 2) has completed two blocks by position 4 of abab..., so its
     # bucket starts at s = 4 > h + p and its tail is w[5..i], not w[3..i]
     @pytest.mark.parametrize(
-        "text, i, popped, heap, fresh",
+        "text, i, popped, stack, fresh",
         [
-            pytest.param("ababa", 5, [], [(2, 0)], [], id="tail-fits"),
-            pytest.param("ababab", 6, [], [], [(2, 0)], id="third-block-migrates"),
-            pytest.param("ababbb", 6, [(2, 0)], [], [], id="tail-too-long"),
+            pytest.param("ababa", 5, [], [(0, 2)], [], id="tail-fits"),
+            pytest.param("ababab", 6, [], [], [(0, 2)], id="third-block-migrates"),
+            pytest.param("ababbb", 6, [(0, 2)], [], [], id="tail-too-long"),
         ],
     )
-    def test_root_with_several_blocks(self, text, i, popped, heap, fresh):
-        got, new_heap = [(2, 0)], []
-        assert extract_until_ok(got, 4, i, table_of(text), new_heap) == popped
-        assert got == heap and new_heap == fresh
+    def test_root_with_several_blocks(self, text, i, popped, stack, fresh):
+        got, new_stack = [(0, 2)], []
+        assert extract_until_ok(got, 4, i, table_of(text), new_stack) == popped
+        assert got == stack and new_stack == fresh
 
 
 @pytest.mark.parametrize("letters,max_len", [("ab", 9), ("abc", 6)])
 def test_bucket_test_matches_definition(monkeypatch, letters, max_len):
     # every bucket test made by online_heap, against the definition: it pops
-    # exactly the members that are no period of w[1..i], in canonical order,
+    # exactly the members that are no period of w[1..i], by increasing p,
     # and moves the surviving root on exactly when it completes a block at i
     test = abelianperiods.online.extract_until_ok
     calls = []
 
-    def recorder(heap, s, i, table, new_heap):
-        members, before = sorted(heap), set(new_heap)
-        popped = test(heap, s, i, table, new_heap)
-        calls.append((members, i, popped, sorted(set(new_heap) - before), sorted(heap)))
+    def recorder(stack, s, i, table, new_stack):
+        # members by increasing p, the pop order
+        members, before = stack[::-1], set(new_stack)
+        popped = test(stack, s, i, table, new_stack)
+        calls.append((members, i, popped, sorted(set(new_stack) - before), stack[::-1]))
         return popped
 
     monkeypatch.setattr(abelianperiods.online, "extract_until_ok", recorder)
@@ -208,10 +206,10 @@ def test_bucket_test_matches_definition(monkeypatch, letters, max_len):
         calls.clear()
         online_heap(table_of(text, alphabet))
         for members, i, popped, moved, kept in calls:
-            alive = [(p, h) for p, h in members if last[h, p] >= i]
-            assert popped == [(p, h) for p, h in members if last[h, p] == i - 1], (text, i)
+            alive = [hp for hp in members if last[hp] >= i]
+            assert popped == [hp for hp in members if last[hp] == i - 1], (text, i)
             assert popped + alive == members, (text, i)
-            completes = alive and (i - alive[0][1]) % alive[0][0] == 0
+            completes = alive and (i - alive[0][0]) % alive[0][1] == 0
             expected_move = alive[:1] if completes else []
             assert moved == expected_move and kept == alive[len(moved):], (text, i)
         tested += len(calls)
@@ -414,20 +412,27 @@ def test_packed_slots_follow_the_definition(algorithm, packed_slots, letters, ma
 
 @pytest.fixture
 def bucket_starts(monkeypatch):
-    """Run online_heap and return, after every position i, the members
-    (h, p) of a bucket with start s for which ``s != i − (i − h) mod p``, as
-    ``(i, s, h, p)``, and the number of members checked."""
+    """Run online_heap and return what is wrong with its buckets after
+    every position i, and the number of members checked: ``(i, s, h, p)``
+    for a member (h, p) of the bucket with start s where
+    ``s != i − (i − h) mod p``, and ``(i, s, stack)`` for a stack that is
+    not strictly decreasing in p or holds a member it lacked at s."""
     sweep = abelianperiods.online._sweep
     wrong = []
     checked = [0]
 
     def checker(table, *args, **kwargs):
+        formed = {}
         for i, buckets, seeds, dead in sweep(table, *args, **kwargs):
-            for s, heap in buckets:
-                for p, h in heap:
+            for s, stack in buckets:
+                for h, p in stack:
                     if s != i - (i - h) % p:
                         wrong.append((i, s, h, p))
-                checked[0] += len(heap)
+                ps = [p for _, p in stack]
+                first = formed.setdefault(s, set(stack))
+                if ps != sorted(set(ps), reverse=True) or not first.issuperset(stack):
+                    wrong.append((i, s, list(stack)))
+                checked[0] += len(stack)
             yield i, buckets, seeds, dead
 
     monkeypatch.setattr(abelianperiods.online, "_sweep", checker)
@@ -443,8 +448,8 @@ def bucket_starts(monkeypatch):
 
 @pytest.mark.parametrize("letters,max_len", [("ab", 9), ("abc", 6)])
 def test_buckets_start_at_the_last_full_block(bucket_starts, letters, max_len):
-    # a wrong start can leave the survival outcome right by chance, so the
-    # starts themselves are checked after every position
+    # a wrong start or order can leave the survival outcome right by
+    # chance, so the buckets themselves are checked after every position
     alphabet = Alphabet(letters)
     for text in words_over(letters, max_len):
         wrong, checked = bucket_starts(table_of(text, alphabet))
@@ -474,6 +479,13 @@ def test_mass_deaths(algorithm, text):
 @pytest.mark.parametrize("text", MASS_DEATH_WORDS)
 def test_packed_slots_through_mass_deaths(algorithm, packed_slots, text):
     checked, _ = packed_slots(algorithm, table_of(text))
+    assert checked, text
+
+
+@pytest.mark.parametrize("text", MASS_DEATH_WORDS)
+def test_buckets_through_mass_deaths(bucket_starts, text):
+    wrong, checked = bucket_starts(table_of(text))
+    assert wrong == [], (text, wrong[:5])
     assert checked, text
 
 

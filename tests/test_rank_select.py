@@ -140,9 +140,12 @@ class TestComputeM:
         assert m[1] == -1 and m[0] != -1
 
     def test_matches_direct_bound_binary_words(self):
-        for text in words_over("ab", 12):
-            w = Word(text, Alphabet("ab"))
-            assert compute_m(w, compute_select(w)) == m_table_oracle(w), text
+        # and ternary words, whose heads block at other lengths
+        for letters, max_len in (("ab", 12), ("abc", 7)):
+            alphabet = Alphabet(letters)
+            for text in words_over(letters, max_len):
+                w = Word(text, alphabet)
+                assert compute_m(w, compute_select(w)) == m_table_oracle(w), text
 
     def test_blocked_suffix_is_monotone(self):
         for text in words_over("ab", 12):
