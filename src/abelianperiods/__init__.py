@@ -117,13 +117,13 @@ def iter_abelian_periods(
     if algo == "select":
         return select_periods(table, nontrivial_only=nontrivial_only)
     if algo == "online-array":
-        t = online_array(table, sink)
         n = table.n
-        result = sorted((hp for hp, j in t.items() if j == n), key=period_order_key)
+        final = [hp for hp, j in online_array(table, sink).items() if j == n]
     elif algo == "online-list":
-        result = sorted(online_list(table, sink), key=period_order_key)
+        final = online_list(table, sink)
     else:
-        result = sorted(online_heap(table, sink), key=period_order_key)
+        final = online_heap(table, sink)
+    result = sorted(final, key=period_order_key)
     return iter(filter_nontrivial(result, table.n) if nontrivial_only else result)
 
 

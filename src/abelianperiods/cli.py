@@ -25,6 +25,7 @@ import statistics
 import sys
 import time
 from itertools import islice, product
+from string import ascii_lowercase
 from typing import Callable, Iterable, Iterator
 
 from . import ALGOS, ONLINE_ALGOS, iter_abelian_periods
@@ -182,7 +183,7 @@ def cmd_generate(args) -> int:
 
 def _verify_corpus(args) -> Iterator[Word]:
     if args.max_len is not None:
-        alphabet = Alphabet("abcdefghijklmnopqrstuvwxyz"[: args.sigma])
+        alphabet = Alphabet(ascii_lowercase[: args.sigma])
         for length in range(1, args.max_len + 1):
             for letters in product(alphabet.letters, repeat=length):
                 yield Word("".join(letters), alphabet)
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate, parser=p)
 
     # an empty corpus, or one of empty words, would pass without checking anything
-    positive, sigma = _int_range(1), _int_range(1, 26)
+    positive, sigma = _int_range(1), _int_range(1, len(ascii_lowercase))
     p = sub.add_parser("verify", help="cross-check all algorithms against the definition")
     corpus = p.add_mutually_exclusive_group(required=True)
     corpus.add_argument("--max-len", type=positive, dest="max_len", help="exhaustive mode: all words up to this length")

@@ -89,24 +89,25 @@ def _fitting_heads(table: PrefixParikhTable, i: int, h: int) -> int:
 
 def _sweep(
     table: PrefixParikhTable,
-    step: Callable[[PrefixParikhTable, int, Any, list[Period]], tuple[Any, list[Period]]],
+    step: Callable[[PrefixParikhTable, int, Any, list[Period]], list[Period]],
     state: Any,
     sink: Sink | None = None,
 ) -> Iterator[tuple[int, Any, list[Period], list[Period]]]:
     """Yield ``(i, state, seeds, dead)`` for i = 1..n.
 
     ``seeds`` are the births (h, i - h) for the fitting heads h by
-    increasing h. ``step(table, i, state, seeds)`` returns the state holding
-    the periods of w[1..i] and ``dead``, the periods of w[1..i-1] that fail
-    at i. With a sink, one running set drops ``dead``, gains ``seeds`` and
-    is copied to the sink. Callers must not mutate what is yielded.
+    increasing h. ``step(table, i, state, seeds)`` updates ``state`` in
+    place to hold the periods of w[1..i] and returns ``dead``, the periods
+    of w[1..i-1] that fail at i; every yield carries the same ``state``.
+    With a sink, one running set drops ``dead``, gains ``seeds`` and is
+    copied to the sink. Callers must not mutate what is yielded.
     """
     running: set[Period] | None = None if sink is None else set()
     k = 0
     for i in range(1, table.n + 1):
         k = _fitting_heads(table, i, k)
         seeds = [(h, i - h) for h in range(k)]
-        state, dead = step(table, i, state, seeds)
+        dead = step(table, i, state, seeds)
         if running is not None:
             running.difference_update(dead)
             running.update(seeds)
@@ -244,7 +245,7 @@ class _Slots:
 
 def _packed_step(
     table: PrefixParikhTable, i: int, slots: _Slots, seeds: list[Period]
-) -> tuple[_Slots, list[Period]]:
+) -> list[Period]:
     """Survival step over the packed slots: every live period is retested by
     one subtraction on the ints of letter c = w[i], the survivors keep their
     slots and the seeds take the next ones. Returns the dead in slot order.
@@ -283,7 +284,7 @@ def _packed_step(
         slots._compact()
     if seeds:
         slots._seed(i, seeds)
-    return slots, dead
+    return dead
 
 
 def online_array(
@@ -301,7 +302,7 @@ def online_array(
     """
     t: dict[Period, int] = {}
     slots = _Slots(table)
-    for i, slots, seeds, dead in _sweep(table, _packed_step, slots, sink):
+    for i, _, seeds, dead in _sweep(table, _packed_step, slots, sink):
         for hp in dead:
             t[hp] = i - 1
         for h in range(len(seeds), (i - 1) // 2 + 1):
@@ -317,7 +318,7 @@ def online_list(table: PrefixParikhTable, sink: Sink | None = None) -> list[Peri
     Returns the period list of the whole word (unordered).
     """
     slots = _Slots(table)
-    for _, slots, _, _ in _sweep(table, _packed_step, slots, sink):
+    for _ in _sweep(table, _packed_step, slots, sink):
         pass
     return slots.alive_periods()
 
@@ -355,7 +356,7 @@ def extract_until_ok(
 
 def _bucket_step(
     table: PrefixParikhTable, i: int, buckets: Buckets, seeds: list[Period]
-) -> tuple[Buckets, list[Period]]:
+) -> list[Period]:
     """Survival step over the buckets, ``(s, stack)`` pairs: each stack is
     trimmed by :func:`extract_until_ok`, emptied stacks are dropped, and
     completed-block roots and seeds form the new bucket starting at i."""
@@ -363,12 +364,12 @@ def _bucket_step(
     dead: list[Period] = []
     for s, stack in buckets:
         dead += extract_until_ok(stack, s, i, table, new_stack)
-    buckets = [bucket for bucket in buckets if bucket[1]]
+    buckets[:] = [bucket for bucket in buckets if bucket[1]]
     new_stack += seeds
     if new_stack:
         new_stack.sort(key=itemgetter(1), reverse=True)
         buckets.append((i, new_stack))
-    return buckets, dead
+    return dead
 
 
 def online_heap(table: PrefixParikhTable, sink: Sink | None = None) -> set[Period]:
@@ -376,6 +377,6 @@ def online_heap(table: PrefixParikhTable, sink: Sink | None = None) -> set[Perio
     into stacks sorted by decreasing p (:func:`_bucket_step`), one test per
     bucket on the happy path. Returns the period set of the whole word."""
     buckets: Buckets = []
-    for _, buckets, _, _ in _sweep(table, _bucket_step, buckets, sink):
+    for _ in _sweep(table, _bucket_step, buckets, sink):
         pass
     return set().union(*(stack for _, stack in buckets))

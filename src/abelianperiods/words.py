@@ -46,9 +46,7 @@ class Alphabet:
 
     def __init__(self, letters):
         letters = "".join(letters)
-        if len(set(letters)) != len(letters):
-            raise ValueError("alphabet letters must be distinct")
-        if sorted(letters) != list(letters):
+        if any(a >= b for a, b in zip(letters, letters[1:])):
             raise ValueError("alphabet letters must be strictly increasing")
         self.letters = letters
         self._pos = {a: i for i, a in enumerate(letters)}
@@ -71,9 +69,6 @@ class Alphabet:
 
     def __iter__(self):
         return iter(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self.letters == other.letters
@@ -121,9 +116,6 @@ class Word:
     def prefix(self, i: int) -> "Word":
         """The prefix of length i, over the same alphabet."""
         return Word(self.factor(1, i), self.alphabet)
-
-    def __str__(self) -> str:
-        return self.text
 
     def __eq__(self, other) -> bool:
         return (
@@ -179,7 +171,7 @@ class PrefixParikhTable:
     by convention: do not mutate ``packed``.
     """
 
-    __slots__ = ("word", "n", "sigma", "width", "guard", "packed")
+    __slots__ = ("word", "n", "width", "guard", "packed")
 
     def __init__(self, word: Word):
         n = len(word)
@@ -188,7 +180,6 @@ class PrefixParikhTable:
         unit = [1 << (width * a) for a in range(sigma)]
         self.word = word
         self.n = n
-        self.sigma = sigma
         self.width = width
         # one guard bit at the top of every field
         self.guard = ((1 << (width * sigma)) - 1) // ((1 << width) - 1) << (width - 1)
@@ -197,7 +188,7 @@ class PrefixParikhTable:
     def _unpack(self, v: int) -> ParikhVector:
         width = self.width
         mask = (1 << width) - 1
-        return tuple((v >> (width * a)) & mask for a in range(self.sigma))
+        return tuple((v >> (width * a)) & mask for a in range(self.word.alphabet.size))
 
     def factor(self, i: int, m: int) -> ParikhVector:
         """Parikh vector of the factor of length m starting at position i."""

@@ -257,7 +257,7 @@ class TestPrefixOracle:
 def resumed_seed_counts(table):
     """The seed count of every position, as the driver finds it."""
     def step(table, i, state, seeds):
-        return state, []
+        return []
 
     return [len(seeds) for _, _, seeds, _ in abelianperiods.online._sweep(table, step, None)]
 
@@ -487,6 +487,28 @@ def test_buckets_through_mass_deaths(bucket_starts, text):
     wrong, checked = bucket_starts(table_of(text))
     assert wrong == [], (text, wrong[:5])
     assert checked, text
+
+
+@pytest.mark.parametrize("algorithm", [online_list, online_heap])
+def test_steps_update_the_state_in_place(monkeypatch, algorithm):
+    # the packed and the bucket step update the state they are given and
+    # return only the dead, so the driver yields that one object throughout
+    sweep = abelianperiods.online._sweep
+    yields, moved = [0], []
+
+    def checker(table, step, state, *args):
+        for i, current, seeds, dead in sweep(table, step, state, *args):
+            yields[0] += 1
+            if current is not state:
+                moved.append((table.word.text, i))
+            yield i, current, seeds, dead
+
+    monkeypatch.setattr(abelianperiods.online, "_sweep", checker)
+    mass_death = MASS_DEATH_WORDS[-1].values[0]
+    for text in [*words_over("ab", 8), mass_death]:
+        algorithm(table_of(text))
+    assert yields[0] == sum(2**n * n for n in range(1, 9)) + len(mass_death)
+    assert moved == [], moved[:5]
 
 
 @pytest.mark.parametrize("k", [7, 20, 40])
