@@ -12,9 +12,9 @@ containment, so at least one always survives the filter.
 
 Cutting sets are residue classes: for 0 <= h < p and h + p <= n the cuts of
 (h, p) are exactly {x in 1..n : x = h (mod p)}. Two cuts x and x + p lie in
-another class mod q only if q divides p, so strict containment reduces to a
-lookup over the proper divisors of p, and the filter never compares two
-cutting sets (see :func:`filter_nondeducible`).
+another class mod q only if q divides p, so strict containment reduces to
+one bit test against the head masks of the proper divisors of p, and the
+filter never compares two cutting sets (see :func:`filter_nondeducible`).
 """
 
 from __future__ import annotations
@@ -49,42 +49,41 @@ def filter_nondeducible(periods: Iterable[Period], n: int) -> list[Period]:
 
     ``periods`` should be the complete period set of the word; deducibility
     is relative to it. Input order is kept, and duplicates never refine
-    each other. With ``heads[q]`` the heads of the input periods of block
-    length q, a period (h, p) is deducible iff
+    each other. With ``heads[q]`` the int whose bit h is set for each input
+    period (h, q), a period (h, p) is deducible iff
 
     * it cuts twice or more (h > 0 or 2p <= n) and some proper divisor q
-      of p has ``h % q`` in ``heads[q]``; or
+      of p has bit ``h % q`` of ``heads[q]`` set; or
     * its only cut is p (h = 0, 2p > n) and some other period (h', q) !=
-      (0, p) has h' = p (mod q).
+      (0, p) has h' = p (mod q), which needs q < p.
 
-    Cost: O(n log n) for the divisor sieve over the block lengths present,
-    plus O(sum of d(p)) divisor probes over the s input periods, plus
-    O(n) probes per single-cut period; no cutting set is built.
+    ``cut[p]`` ORs each divisor's mask tiled p // q times, so each period
+    costs one bit test. Cost: O(s) validation and bit tests for the s
+    input periods, O(n log n) tile products over ints of at most n bits,
+    and O(number of block lengths) per single-cut period.
 
     Raises ValueError for a pair outside 0 <= h < p, h + p <= n, where the
     criterion does not hold.
     """
     periods = list(periods)
-    heads: dict[int, set[int]] = {}
+    heads = [0] * (n + 1)
     for h, p in periods:
         if not (0 <= h < p and h + p <= n):
             raise ValueError(
                 f"pair ({h}, {p}) violates 0 <= h < p, h + p <= n for n = {n}"
             )
-        heads.setdefault(p, set()).add(h)
-    divisors: dict[int, list[int]] = {p: [] for p in heads}
-    for q in heads:
-        for m in range(2 * q, n + 1, q):
-            if m in divisors:
-                divisors[m].append(q)
-
-    def deducible(h: int, p: int) -> bool:
-        if h or 2 * p <= n:
-            return any(h % q in heads[q] for q in divisors[p])
-        # the class of q == p holding p is {p} itself, i.e. (0, p)
-        return any(p % q in hs for q, hs in heads.items() if q != p)
-
-    return [hp for hp in periods if not deducible(*hp)]
+        heads[p] |= 1 << h
+    present = [q for q in range(1, n + 1) if heads[q]]
+    cut = [0] * (n + 1)
+    for q in present:
+        for p in range(2 * q, n + 1, q):
+            if heads[p]:
+                # heads[q] repeated p // q times, q bits apart
+                cut[p] |= heads[q] * (((1 << p) - 1) // ((1 << q) - 1))
+    for p in present:
+        if 2 * p > n:
+            cut[p] |= any(heads[q] >> p % q & 1 for q in present if q < p)
+    return [hp for hp in periods if not cut[hp[1]] >> hp[0] & 1]
 
 
 def smallest_period(periods: Iterable[Period]) -> Period | None:

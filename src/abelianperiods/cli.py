@@ -210,7 +210,7 @@ def cmd_verify(args) -> int:
 
 
 def _word_seed(seed: int, sigma: int, length: int, j: int) -> int:
-    # same words for every algorithm of a (sigma, length) cell
+    # a cell's words depend on the seed and the cell alone, not on the other cells
     return ((seed * 1000003 + sigma) * 1000003 + length) * 1000003 + j
 
 
@@ -228,30 +228,31 @@ def cmd_bench(args) -> int:
         if args.reps == 0:
             return 0
         nontrivial = args.filter_name == "nontrivial"
-        for algo in args.algos:
-            for sigma in args.sigmas:
-                for length in args.lengths:
-                    times_ms = []
-                    total = 0
-                    for j in range(args.reps):
-                        word = random_word(
-                            sigma, length, seed=_word_seed(args.seed, sigma, length, j)
-                        )
-                        t0 = time.perf_counter()
-                        count = len(run_algorithm(word, algo, nontrivial_only=nontrivial))
-                        times_ms.append((time.perf_counter() - t0) * 1000.0)
-                        total += count
-                    writer.writerow(
-                        [
-                            algo,
-                            sigma,
-                            length,
-                            args.reps,
-                            f"{statistics.fmean(times_ms):.3f}",
-                            f"{statistics.pstdev(times_ms):.3f}",
-                            total,
-                        ]
-                    )
+        rows: list[list] = [[] for _ in args.algos]
+        for sigma, length in product(args.sigmas, args.lengths):
+            runs = [([], []) for _ in args.algos]  # (times_ms, counts) per algorithm
+            for j in range(args.reps):
+                word = random_word(sigma, length, seed=_word_seed(args.seed, sigma, length, j))
+                # all algorithms back to back on one word: host drift moves them alike
+                for algo, (times_ms, counts) in zip(args.algos, runs):
+                    t0 = time.perf_counter()
+                    count = len(run_algorithm(word, algo, nontrivial_only=nontrivial))
+                    times_ms.append((time.perf_counter() - t0) * 1000.0)
+                    counts.append(count)
+            for algo, (times_ms, counts), algo_rows in zip(args.algos, runs, rows):
+                algo_rows.append(
+                    [
+                        algo,
+                        sigma,
+                        length,
+                        args.reps,
+                        f"{statistics.fmean(times_ms):.3f}",
+                        f"{statistics.pstdev(times_ms):.3f}",
+                        sum(counts),
+                    ]
+                )
+        for algo_rows in rows:
+            writer.writerows(algo_rows)
     finally:
         if out is not sys.stdout:
             out.close()

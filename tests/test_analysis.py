@@ -76,6 +76,23 @@ class TestFilterNondeducible:
             assert kept, text
             assert filter_nondeducible(kept, len(text)) == kept
 
+    def test_single_cut_period_refined_by_a_non_divisor(self):
+        # (0, 5) cuts only at 5, and (1, 2) cuts at 1, 3, 5, 7: 2 does not divide 5
+        alone = [(0, 5), (0, 2), (1, 3)]
+        assert filter_nondeducible(alone, 8) == alone
+        refined = alone + [(1, 2)]
+        assert filter_nondeducible(refined, 8) == [(0, 2), (1, 3), (1, 2)]
+        for periods in (alone, refined):
+            assert filter_nondeducible(periods, 8) == pairwise_nondeducible(periods, 8)
+
+    def test_divisor_tiled_four_times_refines_a_late_head(self):
+        # (37, 44) cuts at 37 and 81, both 4 mod 11: only (4, 11), whose
+        # head mask is tiled four times over 44 bits, refines it
+        periods = [(37, 44), (4, 11), (0, 44), (3, 11), (5, 22)]
+        kept = [(4, 11), (0, 44), (3, 11), (5, 22)]
+        assert filter_nondeducible(periods, 81) == kept == pairwise_nondeducible(periods, 81)
+        assert filter_nondeducible(periods[:1] + periods[2:], 81) == periods[:1] + periods[2:]
+
     def test_matches_pairwise_subset_table(self):
         n = 8
         cuts = {hp: cutting_positions(*hp, n) for hp in GOLDEN_PERIODS}
@@ -88,7 +105,7 @@ class TestFilterNondeducible:
 
 
 class TestNondeducibleAgainstPairwise:
-    """The divisor-lookup filter against the pairwise O(s^2) oracle."""
+    """The head-bitmask filter against the pairwise O(s^2) oracle."""
 
     def test_complete_period_sets(self):
         for letters, max_len in (("ab", 11), ("abc", 7)):
@@ -120,6 +137,26 @@ class TestNondeducibleAgainstPairwise:
             assert kept == pairwise_nondeducible(chosen, n), (n, chosen)
             rest = iter(chosen)
             assert all(hp in rest for hp in kept)  # a subsequence of the input
+
+    def test_random_subsets_of_wide_masks(self):
+        # n >= 65: head masks and their tiles span several 30-bit int digits
+        rng = random.Random(11)
+        wide_drops = 0
+        for _ in range(300):
+            n = rng.randint(65, 200)
+            chosen = []
+            for _ in range(rng.randint(1, 130)):
+                # short block lengths refine many pairs, long ones give wide masks
+                p = rng.randint(1, rng.choice((12, n)))
+                chosen.append((rng.randint(0, min(p - 1, n - p)), p))
+            chosen += rng.choices(chosen, k=rng.randint(0, 20))
+            rng.shuffle(chosen)
+            kept = filter_nondeducible(chosen, n)
+            assert kept == pairwise_nondeducible(chosen, n), (n, chosen)
+            rest = iter(chosen)
+            assert all(hp in rest for hp in kept)  # a subsequence of the input
+            wide_drops += sum(h >= 30 for h, _ in set(chosen) - set(kept))
+        assert wide_drops  # some dropped head lies past the first int digit
 
     @pytest.mark.parametrize("bad", [(-1, 2), (2, 2), (3, 1), (1, 8), (0, 9), (0, 0)])
     def test_pairs_outside_the_domain_are_rejected(self, bad):

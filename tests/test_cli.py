@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -17,10 +18,11 @@ from abelianperiods import (
     filter_nondeducible,
     filter_nontrivial,
     period_order_key,
+    random_word,
     smallest_period,
     spike_word,
 )
-from abelianperiods.cli import ALGOS, EXIT_BROKEN_PIPE, FILTERS, build_parser, main
+from abelianperiods.cli import ALGOS, EXIT_BROKEN_PIPE, FILTERS, _word_seed, build_parser, main
 from conftest import words_over
 
 GOLDEN = "abaababa"
@@ -499,6 +501,39 @@ class TestBenchCommand:
         assert code == 0
         totals = {row[0]: row[6] for row in rows}
         assert len(set(totals.values())) == 1
+
+    def test_words_drawn_once_and_rows_algo_major(self, cli, monkeypatch):
+        algos, sigmas, lengths, reps = ["brute", "select", "online-heap"], [2, 3], [12, 7], 2
+        drawn, texts, timed = [], [], []
+
+        def drawing(sigma, length, seed):
+            drawn.append((sigma, length, seed))
+            word = random_word(sigma, length, seed=seed)
+            texts.append(word.text)
+            return word
+
+        def timing(word, algo, **kwargs):
+            timed.append((word.text, algo))
+            return abelian_periods(word, algo, **kwargs)
+
+        monkeypatch.setattr("abelianperiods.cli.random_word", drawing)
+        monkeypatch.setattr("abelianperiods.cli.run_algorithm", timing)
+        code, out, _ = cli(
+            "bench", "--algos", ",".join(algos), "--lengths", "12,7",
+            "--sigma", "2,3", "--reps", str(reps), "--seed", "5",
+        )
+        assert code == 0
+        cells = list(product(sigmas, lengths, range(reps)))
+        assert drawn == [(s, n, _word_seed(5, s, n, j)) for s, n, j in cells]
+        # each word is timed under every algorithm before the next is drawn
+        assert timed == [(text, algo) for text in texts for algo in algos]
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [(a, int(s), int(n)) for a, s, n, *_ in rows] == list(product(algos, sigmas, lengths))
+        for algo, sigma, length, reps_text, _, _, total in rows:
+            seeds = [_word_seed(5, int(sigma), int(length), j) for j in range(reps)]
+            words = [random_word(int(sigma), int(length), seed=seed) for seed in seeds]
+            assert reps_text == str(reps)
+            assert int(total) == sum(len(abelian_periods(w, algo)) for w in words)
 
     def test_csv_file_output(self, cli, tmp_path):
         path = tmp_path / "out.csv"

@@ -39,7 +39,7 @@ def words_with_alphabets(draw, max_sigma=60):
 @st.composite
 def valid_pair_lists(draw):
     """A length n and a list of pairs with 0 <= h < p, h + p <= n."""
-    n = draw(st.integers(0, 20))
+    n = draw(st.integers(0, 100))
     if n == 0:
         return n, []
     pair = st.integers(1, n).flatmap(
