@@ -123,8 +123,8 @@ def iter_abelian_periods(
         final = online_list(table, sink)
     else:
         final = online_heap(table, sink)
-    result = sorted(final, key=period_order_key)
-    return iter(filter_nontrivial(result, table.n) if nontrivial_only else result)
+    kept = filter_nontrivial(final, table.n) if nontrivial_only else final
+    return iter(sorted(kept, key=period_order_key))
 
 
 def abelian_periods(

@@ -129,7 +129,7 @@ def cmd_periods(args) -> int:
 
         def show(i: int, periods: set[Period]) -> None:
             sys.stdout.write(f"# prefix {i}\n")
-            _write_periods(keep(sorted(periods, key=period_order_key), i))
+            _write_periods(sorted(keep(periods, i), key=period_order_key))
 
         run_algorithm(word, args.algo, sink=show)
         return 0

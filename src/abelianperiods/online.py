@@ -36,8 +36,11 @@ The members of a heap bucket have their last full blocks ending at one
 position s, the bucket start, so they share the tail w[s+1..i] and their
 blocks nest by length: when the member of least p, the root, survives, the
 whole bucket does. A bucket gets all its members at s and afterwards only
-loses its root, so the paper's heap is a stack of (h, p) sorted once by
-decreasing p, root last; p fixes h, as s = h + kp with h < p. With
+loses its root, so the paper's heap is a stack of (h, p) by decreasing p,
+root last; p fixes h, as s = h + kp with h < p. It is born so: seeds, then
+roots. The seeds (h, s − h) for 2h < s come by increasing h, so p > s/2.
+A root moves in on completing a block at s: p = s − s' for its old start
+s' ≥ h + p ≥ p, so p ≤ s/2, and old buckets come by increasing s'. With
 ``base = guard + P[s] − P[i]`` once per bucket, the root survives iff
 ``(P[h+p] − P[h] + base) & guard == guard`` (:func:`extract_until_ok`), and
 it has just completed a block iff i − s == p.
@@ -54,7 +57,6 @@ from __future__ import annotations
 
 import re
 from itertools import accumulate, compress
-from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .words import Period, PrefixParikhTable
@@ -337,9 +339,9 @@ def extract_until_ok(
     one tail, so its part of the test is computed once and each root adds
     only its block vector. Popped periods are this bucket's deaths at i (a
     failed extension never recovers), returned in pop order. A surviving
-    root that just completed a block moves to ``new_stack``, the bucket
-    starting at i. A stack whose root already survives is otherwise left
-    untouched.
+    root that just completed a block moves to ``new_stack``, the roots of
+    the bucket starting at i. A stack whose root already survives is
+    otherwise left untouched.
     """
     P, guard = table.packed, table.guard
     base = guard + P[s] - P[i]
@@ -357,25 +359,22 @@ def extract_until_ok(
 def _bucket_step(
     table: PrefixParikhTable, i: int, buckets: Buckets, seeds: list[Period]
 ) -> list[Period]:
-    """Survival step over the buckets, ``(s, stack)`` pairs: each stack is
-    trimmed by :func:`extract_until_ok`, emptied stacks are dropped, and
-    completed-block roots and seeds form the new bucket starting at i."""
-    new_stack: list[Period] = []
+    """Survival step over the buckets, ``(s, stack)`` pairs by increasing s:
+    each stack is trimmed by :func:`extract_until_ok`, emptied ones are
+    dropped, and ``seeds + roots`` is the new bucket, born by decreasing p."""
+    roots: list[Period] = []
     dead: list[Period] = []
     for s, stack in buckets:
-        dead += extract_until_ok(stack, s, i, table, new_stack)
+        dead += extract_until_ok(stack, s, i, table, roots)
     buckets[:] = [bucket for bucket in buckets if bucket[1]]
-    new_stack += seeds
-    if new_stack:
-        new_stack.sort(key=itemgetter(1), reverse=True)
+    if new_stack := seeds + roots:
         buckets.append((i, new_stack))
     return dead
 
 
 def online_heap(table: PrefixParikhTable, sink: Sink | None = None) -> set[Period]:
-    """Heap-bucket variant: ongoing periods are grouped by bucket start
-    into stacks sorted by decreasing p (:func:`_bucket_step`), one test per
-    bucket on the happy path. Returns the period set of the whole word."""
+    """Heap-bucket variant (:func:`_bucket_step`): stacks born by decreasing
+    p, one test per bucket root. Returns the period set of the whole word."""
     buckets: Buckets = []
     for _ in _sweep(table, _bucket_step, buckets, sink):
         pass

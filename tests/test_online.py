@@ -482,7 +482,17 @@ def test_packed_slots_through_mass_deaths(algorithm, packed_slots, text):
     assert checked, text
 
 
-@pytest.mark.parametrize("text", MASS_DEATH_WORDS)
+@pytest.mark.parametrize(
+    "text",
+    [
+        *MASS_DEATH_WORDS,
+        # many roots complete a block at one position and join the seeds in
+        # one new bucket, whose order the fixture checks after every step
+        pytest.param(cyclic_word(3, 90).text, id="cyclic-3-90"),
+        pytest.param(cyclic_word(4, 96).text, id="cyclic-4-96"),
+        pytest.param(fibonacci_word(144).text, id="fibonacci-144"),
+    ],
+)
 def test_buckets_through_mass_deaths(bucket_starts, text):
     wrong, checked = bucket_starts(table_of(text))
     assert wrong == [], (text, wrong[:5])
