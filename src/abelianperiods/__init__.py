@@ -118,7 +118,8 @@ def iter_abelian_periods(
         return select_periods(table, nontrivial_only=nontrivial_only)
     if algo == "online-array":
         n = table.n
-        final = [hp for hp, j in online_array(table, sink).items() if j == n]
+        rows = online_array(table, sink)
+        final = [(h, p) for p, row in enumerate(rows) for h, j in enumerate(row) if j == n]
     elif algo == "online-list":
         final = online_list(table, sink)
     else:

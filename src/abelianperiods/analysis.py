@@ -58,25 +58,29 @@ def filter_nondeducible(periods: Iterable[Period], n: int) -> list[Period]:
       (0, p) has h' = p (mod q), which needs q < p.
 
     ``cut[p]`` ORs each divisor's mask tiled p // q times, so each period
-    costs one bit test. Cost: O(s) validation and bit tests for the s
-    input periods, O(n log n) tile products over ints of at most n bits,
-    and O(number of block lengths) per single-cut period.
+    costs one bit test. Cost, for s periods of largest block length m:
+    O(s) validation and bit tests, O(m log m) tile products over ints of
+    at most m bits, and O(number of block lengths) per single-cut period.
 
     Raises ValueError for a pair outside 0 <= h < p, h + p <= n, where the
     criterion does not hold.
     """
     periods = list(periods)
-    heads = [0] * (n + 1)
+    heads = [0]
     for h, p in periods:
         if not (0 <= h < p and h + p <= n):
             raise ValueError(
                 f"pair ({h}, {p}) violates 0 <= h < p, h + p <= n for n = {n}"
             )
-        heads[p] |= 1 << h
-    present = [q for q in range(1, n + 1) if heads[q]]
-    cut = [0] * (n + 1)
+        try:
+            heads[p] |= 1 << h
+        except IndexError:
+            heads += [0] * p
+            heads[p] |= 1 << h
+    present = [q for q in range(1, len(heads)) if heads[q]]
+    cut = [0] * len(heads)
     for q in present:
-        for p in range(2 * q, n + 1, q):
+        for p in range(2 * q, len(heads), q):
             if heads[p]:
                 # heads[q] repeated p // q times, q bits apart
                 cut[p] |= heads[q] * (((1 << p) - 1) // ((1 << q) - 1))

@@ -11,7 +11,7 @@ never decreases along the word.
 One driver, :func:`_sweep`, seeds each position and asks a survival step
 which live periods die there. :func:`online_list` and :func:`online_array`
 use the packed step, which retests every live period, and record it
-differently: the live list itself, or a table of the longest prefix each
+differently: the live list itself, or rows of the longest prefix each
 pair survived. :func:`online_heap` uses the bucket step.
 
 The packed step (:class:`_Slots`, :func:`_packed_step`) gives every live
@@ -56,6 +56,7 @@ hands the sink a copy. Without a sink no per-prefix sets are materialised.
 from __future__ import annotations
 
 import re
+from array import array
 from itertools import accumulate, compress
 from typing import Any, Callable, Iterator
 
@@ -289,28 +290,21 @@ def _packed_step(
     return dead
 
 
-def online_array(
-    table: PrefixParikhTable, sink: Sink | None = None
-) -> dict[Period, int]:
-    """Longest-surviving-prefix table over all (h, p) pairs.
+def online_array(table: PrefixParikhTable, sink: Sink | None = None) -> list[array]:
+    """Longest-surviving-prefix table, one ``array('i')`` row per block length.
 
-    The returned mapping sends (h, p) to the length of the longest prefix
-    having that Abelian period, or to -1 when the candidate already failed
-    head containment when it was first seeded. Pairs never seeded are
-    absent. The final period set of the word is ``{hp : t[hp] == n}``.
-
-    Each entry is written once: i - 1 when the pair dies at position i, n
-    for the pairs alive at the end, -1 when the head does not fit.
+    ``t[p][h]`` (h < p, h + p <= n; row p has min(p, n - p + 1) entries) is
+    the length of the longest prefix having the period (h, p), or -1 when its
+    head never fits. The final periods are the pairs with ``t[p][h] == n``.
     """
-    t: dict[Period, int] = {}
+    n = table.n
+    t = [array("i", [-1]) * min(p, n - p + 1) for p in range(n + 1)]
     slots = _Slots(table)
-    for i, _, seeds, dead in _sweep(table, _packed_step, slots, sink):
-        for hp in dead:
-            t[hp] = i - 1
-        for h in range(len(seeds), (i - 1) // 2 + 1):
-            t[h, i - h] = -1
-    for hp in slots.alive_periods():
-        t[hp] = table.n
+    for i, _, _, dead in _sweep(table, _packed_step, slots, sink):
+        for h, p in dead:
+            t[p][h] = i - 1
+    for h, p in slots.alive_periods():
+        t[p][h] = n
     return t
 
 

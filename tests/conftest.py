@@ -57,8 +57,8 @@ def oracle_periods(text: str) -> tuple[tuple[int, int], ...]:
 def prefix_lifetimes(text: str) -> dict[tuple[int, int], int]:
     """The last prefix length having each candidate (h, p) of ``text``, or -1.
 
-    Covers every pair with h < p and h + p <= n, the keys of an
-    ``online_array`` table; -1 marks a pair that is no period of
+    Covers every pair with h < p and h + p <= n, the entries of the
+    ``online_array`` rows; -1 marks a pair that is no period of
     w[1..h+p]. A period that fails on a prefix fails on every longer one
     (its failing head, block or tail only grows), so the prefixes having
     (h, p) form an interval starting at h + p, whose end is found by binary
@@ -85,6 +85,11 @@ def prefix_lifetimes(text: str) -> dict[tuple[int, int], int]:
                     hi = mid - 1
             last[h, p] = lo
     return last
+
+
+def rows_as_dict(rows) -> dict[tuple[int, int], int]:
+    """``online_array`` rows as ``{(h, p): rows[p][h]}``, every entry kept."""
+    return {(h, p): v for p, row in enumerate(rows) for h, v in enumerate(row)}
 
 
 def prefix_sets(text: str):

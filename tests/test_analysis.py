@@ -1,6 +1,7 @@
 """Period-set post-processing: classification, cutting sets, minima."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,9 +11,11 @@ from abelianperiods import (
     abelian_periods,
     brute_force_periods,
     cutting_positions,
+    fibonacci_word,
     filter_nondeducible,
     filter_nontrivial,
     period_order_key,
+    random_word,
     smallest_period,
 )
 from conftest import oracle_periods, pairwise_nondeducible, words_over
@@ -157,6 +160,32 @@ class TestNondeducibleAgainstPairwise:
             assert all(hp in rest for hp in kept)  # a subsequence of the input
             wide_drops += sum(h >= 30 for h, _ in set(chosen) - set(kept))
         assert wide_drops  # some dropped head lies past the first int digit
+
+    @pytest.mark.parametrize("order", ["increasing-p", "decreasing-p", "largest-p-first"])
+    @pytest.mark.parametrize(
+        "text",
+        [fibonacci_word(55).text, random_word(2, 40, seed=5).text, "ab" * 20],
+        ids=["fibonacci-55", "random-2-40", "ab20"],
+    )
+    def test_head_masks_grow_with_the_block_lengths_given(self, order, text):
+        # the masks are sized by the block lengths seen so far, not by n
+        periods = list(oracle_periods(text))
+        if order == "decreasing-p":
+            periods.reverse()
+        elif order == "largest-p-first":
+            periods = periods[-1:] + periods[:-1]
+        n = len(text)
+        assert filter_nondeducible(periods, n) == pairwise_nondeducible(periods, n)
+
+    def test_memory_follows_the_input_not_n(self):
+        tracemalloc.start()
+        try:
+            kept = filter_nondeducible([(0, 1), (3, 5)], 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept == [(0, 1)]
+        assert peak < 2**20, peak
 
     @pytest.mark.parametrize("bad", [(-1, 2), (2, 2), (3, 1), (1, 8), (0, 9), (0, 0)])
     def test_pairs_outside_the_domain_are_rejected(self, bad):

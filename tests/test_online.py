@@ -1,5 +1,7 @@
 """On-line algorithms: per-prefix period sets by array, list and heap buckets."""
 
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -34,6 +36,7 @@ from conftest import (
     prefix_lifetimes,
     prefix_sets,
     recount_periods,
+    rows_as_dict,
     words_over,
 )
 
@@ -61,24 +64,52 @@ def collect_prefix_sets(algorithm, table):
 
 class TestOnlineArray:
     def test_golden_final_table(self):
-        assert online_array(table_of(GOLDEN)) == EXAMPLE_TABLE
+        assert rows_as_dict(online_array(table_of(GOLDEN))) == EXAMPLE_TABLE
 
     def test_golden_final_periods(self):
-        t = online_array(table_of(GOLDEN))
+        t = rows_as_dict(online_array(table_of(GOLDEN)))
         final = sorted((hp for hp, j in t.items() if j == len(GOLDEN)), key=period_order_key)
         assert final == list(oracle_periods(GOLDEN))
 
     def test_single_letter(self):
-        assert online_array(table_of("a")) == {(0, 1): 1}
+        assert rows_as_dict(online_array(table_of("a"))) == {(0, 1): 1}
 
     def test_dead_entries_keep_their_last_prefix(self):
         # (0, 1) survives only the one-letter prefix of ab
-        assert online_array(table_of("ab")) == {(0, 1): 1, (0, 2): 2}
+        assert rows_as_dict(online_array(table_of("ab"))) == {(0, 1): 1, (0, 2): 2}
 
     def test_failed_head_containment_is_minus_one(self):
         # head a can never sit inside the block bb of abb
         t = online_array(table_of("abb"))
-        assert t[(1, 2)] == -1
+        assert t[2][1] == -1
+
+    @pytest.mark.parametrize(
+        "text", ["", "a", GOLDEN, random_word(2, 300, seed=7).text], ids=len
+    )
+    def test_one_int_row_per_block_length(self, text):
+        n = len(text)
+        t = online_array(table_of(text))
+        assert len(t) == n + 1
+        assert all(type(row) is array and row.typecode == "i" for row in t)
+        assert [len(row) for row in t] == [min(p, n - p + 1) for p in range(n + 1)]
+
+    def test_table_costs_a_few_bytes_per_pair_beyond_the_list(self):
+        # the same packed step as online_list plus 4-byte entries; a dict of
+        # (h, p) keys cost about 76 bytes per pair
+        text = random_word(2, 300, seed=7).text
+        table = table_of(text)
+        pairs = len(prefix_lifetimes(text))
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for algorithm in (online_list, online_array):
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                algorithm(table)
+                peaks[algorithm] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peaks[online_array] - peaks[online_list] < 12 * pairs, peaks
 
     def test_golden_prefix_three(self):
         sets = dict(collect_prefix_sets(online_array, table_of(GOLDEN)))
@@ -91,7 +122,7 @@ class TestOnlineArray:
             word = Word(text, alphabet)
             n = len(text)
             prefixes = [PrefixParikhTable(word.prefix(j)) for j in range(n + 1)]
-            t = online_array(prefixes[n])
+            t = rows_as_dict(online_array(prefixes[n]))
             assert set(t) == {
                 (h, p) for p in range(1, n + 1) for h in range(min(p - 1, n - p) + 1)
             }, text
@@ -572,7 +603,7 @@ class TestAtScale:
         assert resumed_seed_counts(table) == scratch
 
     def test_whole_array_table(self, text):
-        assert online_array(table_of(text)) == prefix_lifetimes(text)
+        assert rows_as_dict(online_array(table_of(text))) == prefix_lifetimes(text)
 
 
 # the packed step's slot fields are W = 8·ceil((bitlen(n) + 2) / 8) bits
@@ -714,7 +745,7 @@ class TestFinalStateAgreement:
             length = (j % 150) + 1
             table = PrefixParikhTable(random_word(sigma, length, seed=20000 + j))
             expected = list(select_periods(table))
-            t = online_array(table)
+            t = rows_as_dict(online_array(table))
             final = sorted((hp for hp, j in t.items() if j == length), key=period_order_key)
             assert final == expected
             assert sorted(online_list(table), key=period_order_key) == expected
