@@ -116,15 +116,14 @@ def iter_abelian_periods(
         return brute_force_periods(table, nontrivial_only=nontrivial_only)
     if algo == "select":
         return select_periods(table, nontrivial_only=nontrivial_only)
+    n = table.n
     if algo == "online-array":
-        n = table.n
+        # rows by p, each by h: the finals come in canonical order unsorted
         rows = online_array(table, sink)
-        final = [(h, p) for p, row in enumerate(rows) for h, j in enumerate(row) if j == n]
-    elif algo == "online-list":
-        final = online_list(table, sink)
-    else:
-        final = online_heap(table, sink)
-    kept = filter_nontrivial(final, table.n) if nontrivial_only else final
+        final = ((h, p) for p, row in enumerate(rows) for h, j in enumerate(row) if j == n)
+        return iter(filter_nontrivial(final, n)) if nontrivial_only else final
+    final = online_list(table, sink) if algo == "online-list" else online_heap(table, sink)
+    kept = filter_nontrivial(final, n) if nontrivial_only else final
     return iter(sorted(kept, key=period_order_key))
 
 

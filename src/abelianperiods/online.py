@@ -8,11 +8,12 @@ the prefix. Head containment is monotone in h and in i, so those seeds are
 h < k for the count k that :func:`_fitting_heads` returns, a count that
 never decreases along the word.
 
-One driver, :func:`_sweep`, seeds each position and asks a survival step
-which live periods die there. :func:`online_list` and :func:`online_array`
-use the packed step, which retests every live period, and record it
-differently: the live list itself, or rows of the longest prefix each
-pair survived. :func:`online_heap` uses the bucket step.
+One driver, :func:`_sweep`, hands each position's seeds to a survival
+step, which updates its state in place, and yields the position with the
+live periods that die there. :func:`online_list` and :func:`online_array`
+use the packed step, which retests every live period; the list reads its
+slots at the end, the array writes rows of the longest prefix each pair
+survived from the deaths. :func:`online_heap` uses the bucket step.
 
 The packed step (:class:`_Slots`, :func:`_packed_step`) gives every live
 period a slot: one W-bit field in each of a few Python ints, W a multiple
@@ -95,15 +96,14 @@ def _sweep(
     step: Callable[[PrefixParikhTable, int, Any, list[Period]], list[Period]],
     state: Any,
     sink: Sink | None = None,
-) -> Iterator[tuple[int, Any, list[Period], list[Period]]]:
-    """Yield ``(i, state, seeds, dead)`` for i = 1..n.
+) -> Iterator[tuple[int, list[Period]]]:
+    """Yield ``(i, dead)`` for i = 1..n.
 
-    ``seeds`` are the births (h, i - h) for the fitting heads h by
-    increasing h. ``step(table, i, state, seeds)`` updates ``state`` in
-    place to hold the periods of w[1..i] and returns ``dead``, the periods
-    of w[1..i-1] that fail at i; every yield carries the same ``state``.
-    With a sink, one running set drops ``dead``, gains ``seeds`` and is
-    copied to the sink. Callers must not mutate what is yielded.
+    ``step(table, i, state, seeds)`` receives the seeds, the births
+    (h, i - h) for the fitting heads h by increasing h, updates ``state``
+    in place to hold the periods of w[1..i] and returns ``dead``, the
+    periods of w[1..i-1] that fail at i. With a sink, one running set drops
+    ``dead``, gains the seeds and is copied to the sink.
     """
     running: set[Period] | None = None if sink is None else set()
     k = 0
@@ -115,7 +115,7 @@ def _sweep(
             running.difference_update(dead)
             running.update(seeds)
             sink(i, running.copy())
-        yield i, state, seeds, dead
+        yield i, dead
 
 
 class _Slots:
@@ -300,7 +300,7 @@ def online_array(table: PrefixParikhTable, sink: Sink | None = None) -> list[arr
     n = table.n
     t = [array("i", [-1]) * min(p, n - p + 1) for p in range(n + 1)]
     slots = _Slots(table)
-    for i, _, _, dead in _sweep(table, _packed_step, slots, sink):
+    for i, dead in _sweep(table, _packed_step, slots, sink):
         for h, p in dead:
             t[p][h] = i - 1
     for h, p in slots.alive_periods():

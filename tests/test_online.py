@@ -287,10 +287,15 @@ class TestPrefixOracle:
 
 def resumed_seed_counts(table):
     """The seed count of every position, as the driver finds it."""
+    counts = []
+
     def step(table, i, state, seeds):
+        counts.append(len(seeds))
         return []
 
-    return [len(seeds) for _, _, seeds, _ in abelianperiods.online._sweep(table, step, None)]
+    for _ in abelianperiods.online._sweep(table, step, None):
+        pass
+    return counts
 
 
 @pytest.mark.parametrize("letters,max_len", [("ab", 10), ("abc", 6)])
@@ -313,17 +318,17 @@ def test_resumed_seed_scan_matches_definition(letters, max_len):
 @pytest.fixture
 def record_events(monkeypatch):
     """Run an on-line algorithm with a sink and return the born/died events
-    of its per-position driver, as ``(i, seeds, dead)`` triples."""
-    # taken once: reading the attribute after patching would recurse
-    sweep = abelianperiods.online._sweep
+    of its survival step, as ``(i, seeds, dead)`` triples."""
     events = []
+    for name in ("_packed_step", "_bucket_step"):
+        # bound once: reading the attribute after patching would recurse
+        def recorder(table, i, state, seeds, step=getattr(abelianperiods.online, name)):
+            born = list(seeds)
+            dead = step(table, i, state, seeds)
+            events.append((i, born, list(dead)))
+            return dead
 
-    def recorder(*args, **kwargs):
-        for i, state, seeds, dead in sweep(*args, **kwargs):
-            events.append((i, list(seeds), list(dead)))
-            yield i, state, seeds, dead
-
-    monkeypatch.setattr(abelianperiods.online, "_sweep", recorder)
+        monkeypatch.setattr(abelianperiods.online, name, recorder)
 
     def run(algorithm, table):
         events.clear()
@@ -372,56 +377,58 @@ def packed_slots(monkeypatch):
     dead of each position must come in list order. Returns the number of
     slots checked and of compactions that kept some slot.
     """
-    sweep = abelianperiods.online._sweep
-    counts = {}
+    step = abelianperiods.online._packed_step
+    run_state = {}
 
-    def checker(table, *args, **kwargs):
-        text = table.word.text
-        last = prefix_lifetimes(text)
+    def checker(table, i, slots, seeds):
+        dead = step(table, i, slots, seeds)
+        text, last = table.word.text, run_state["last"]
         P, tw = table.packed, table.width
 
         def cnt(c, j):
             return (P[j] >> (tw * c)) & ((1 << tw) - 1)
 
-        expected, slots_before = [], 0
-        for i, slots, seeds, dead in sweep(table, *args, **kwargs):
-            width = slots.width
-            g, mask = 1 << (width - 1), (1 << width) - 1
+        width = slots.width
+        g, mask = 1 << (width - 1), (1 << width) - 1
 
-            def field(v, j):
-                return (v >> (width * j)) & mask
+        def field(v, j):
+            return (v >> (width * j)) & mask
 
-            assert dead == [hp for hp in expected if last[hp] == i - 1], (text, i)
-            tested = [hp for hp in expected if last[hp] >= i]
-            expected = tested + seeds
-            live = slots.live
-            kept = [j for j in range(len(live)) if field(slots.alive, j)]
-            assert [live[j] for j in kept] == expected, (text, i)
-            if len(live) < slots_before + len(seeds) and tested:
-                counts["compactions"] += 1
-            slots_before = len(live)
-            c = table.word.alphabet.ind(text[i - 1]) - 1
-            limit, block = slots.limit[c], slots.block.get(c, 0)
-            for j in kept:
-                h, p = live[j]
-                mid = i - (i - h) % p
-                assert field(slots.periods, j) == p, (text, i, h, p)
-                assert field(slots.blocks, j) == (mid - h) // p - 1, (text, i, h, p)
-                assert field(slots.countdown, j) == g - 1 + mid + p - i, (text, i, h, p)
-                if h + p < i:
-                    before = i - 1 - (i - 1 - h) % p
-                    b = cnt(c, h + p) - cnt(c, h)
-                    assert field(block, j) == b, (text, i, h, p)
-                    assert field(limit, j) == g + cnt(c, before) + b, (text, i, h, p)
-            counts["slots"] += len(kept)
-            yield i, slots, seeds, dead
+        expected = run_state["expected"]
+        assert dead == [hp for hp in expected if last[hp] == i - 1], (text, i)
+        tested = [hp for hp in expected if last[hp] >= i]
+        run_state["expected"] = expected = tested + seeds
+        live = slots.live
+        kept = [j for j in range(len(live)) if field(slots.alive, j)]
+        assert [live[j] for j in kept] == expected, (text, i)
+        if len(live) < run_state["slots_before"] + len(seeds) and tested:
+            run_state["compactions"] += 1
+        run_state["slots_before"] = len(live)
+        c = table.word.alphabet.ind(text[i - 1]) - 1
+        limit, block = slots.limit[c], slots.block.get(c, 0)
+        for j in kept:
+            h, p = live[j]
+            mid = i - (i - h) % p
+            assert field(slots.periods, j) == p, (text, i, h, p)
+            assert field(slots.blocks, j) == (mid - h) // p - 1, (text, i, h, p)
+            assert field(slots.countdown, j) == g - 1 + mid + p - i, (text, i, h, p)
+            if h + p < i:
+                before = i - 1 - (i - 1 - h) % p
+                b = cnt(c, h + p) - cnt(c, h)
+                assert field(block, j) == b, (text, i, h, p)
+                assert field(limit, j) == g + cnt(c, before) + b, (text, i, h, p)
+        run_state["slots"] += len(kept)
+        return dead
 
-    monkeypatch.setattr(abelianperiods.online, "_sweep", checker)
+    monkeypatch.setattr(abelianperiods.online, "_packed_step", checker)
 
     def run(algorithm, table):
-        counts.update(slots=0, compactions=0)
+        run_state.update(
+            last=prefix_lifetimes(table.word.text), expected=[], slots_before=0,
+            slots=0, compactions=0,
+        )
         algorithm(table)
-        return counts["slots"], counts["compactions"]
+        return run_state["slots"], run_state["compactions"]
 
     return run
 
@@ -448,28 +455,28 @@ def bucket_starts(monkeypatch):
     for a member (h, p) of the bucket with start s where
     ``s != i − (i − h) mod p``, and ``(i, s, stack)`` for a stack that is
     not strictly decreasing in p or holds a member it lacked at s."""
-    sweep = abelianperiods.online._sweep
-    wrong = []
+    step = abelianperiods.online._bucket_step
+    wrong, formed = [], {}
     checked = [0]
 
-    def checker(table, *args, **kwargs):
-        formed = {}
-        for i, buckets, seeds, dead in sweep(table, *args, **kwargs):
-            for s, stack in buckets:
-                for h, p in stack:
-                    if s != i - (i - h) % p:
-                        wrong.append((i, s, h, p))
-                ps = [p for _, p in stack]
-                first = formed.setdefault(s, set(stack))
-                if ps != sorted(set(ps), reverse=True) or not first.issuperset(stack):
-                    wrong.append((i, s, list(stack)))
-                checked[0] += len(stack)
-            yield i, buckets, seeds, dead
+    def checker(table, i, buckets, seeds):
+        dead = step(table, i, buckets, seeds)
+        for s, stack in buckets:
+            for h, p in stack:
+                if s != i - (i - h) % p:
+                    wrong.append((i, s, h, p))
+            ps = [p for _, p in stack]
+            first = formed.setdefault(s, set(stack))
+            if ps != sorted(set(ps), reverse=True) or not first.issuperset(stack):
+                wrong.append((i, s, list(stack)))
+            checked[0] += len(stack)
+        return dead
 
-    monkeypatch.setattr(abelianperiods.online, "_sweep", checker)
+    monkeypatch.setattr(abelianperiods.online, "_bucket_step", checker)
 
     def run(table):
         wrong.clear()
+        formed.clear()
         checked[0] = 0
         online_heap(table)
         return list(wrong), checked[0]
@@ -530,26 +537,24 @@ def test_buckets_through_mass_deaths(bucket_starts, text):
     assert checked, text
 
 
-@pytest.mark.parametrize("algorithm", [online_list, online_heap])
-def test_steps_update_the_state_in_place(monkeypatch, algorithm):
-    # the packed and the bucket step update the state they are given and
-    # return only the dead, so the driver yields that one object throughout
-    sweep = abelianperiods.online._sweep
-    yields, moved = [0], []
-
-    def checker(table, step, state, *args):
-        for i, current, seeds, dead in sweep(table, step, state, *args):
-            yields[0] += 1
-            if current is not state:
-                moved.append((table.word.text, i))
-            yield i, current, seeds, dead
-
-    monkeypatch.setattr(abelianperiods.online, "_sweep", checker)
+@pytest.mark.parametrize(
+    "step, new_state",
+    [
+        pytest.param(abelianperiods.online._packed_step, abelianperiods.online._Slots, id="packed"),
+        pytest.param(abelianperiods.online._bucket_step, lambda table: [], id="bucket"),
+    ],
+)
+def test_driver_yields_each_position_and_its_dead(step, new_state):
+    # callers read only the position and the dead, so that is all it yields
     mass_death = MASS_DEATH_WORDS[-1].values[0]
+    yields = 0
     for text in [*words_over("ab", 8), mass_death]:
-        algorithm(table_of(text))
-    assert yields[0] == sum(2**n * n for n in range(1, 9)) + len(mass_death)
-    assert moved == [], moved[:5]
+        table = table_of(text)
+        events = list(abelianperiods.online._sweep(table, step, new_state(table)))
+        assert all(len(event) == 2 for event in events), text
+        assert [i for i, _ in events] == list(range(1, len(text) + 1)), text
+        yields += len(events)
+    assert yields == sum(2**n * n for n in range(1, 9)) + len(mass_death)
 
 
 @pytest.mark.parametrize("k", [7, 20, 40])
@@ -651,6 +656,32 @@ class TestDispatch:
             assert seen == [
                 (i, set(oracle_periods(text[:i]))) for i in range(1, len(text) + 1)
             ], text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(random_word(2, 300, seed=7).text, id="random-2-300"),
+            pytest.param(fibonacci_word(300).text, id="fibonacci-300"),
+            pytest.param(cyclic_word(3, 300).text, id="cyclic-3-300"),
+        ],
+    )
+    @pytest.mark.parametrize("nontrivial_only", [False, True])
+    def test_array_finals_skip_the_sort(self, monkeypatch, text, nontrivial_only):
+        # online_array's rows come by p and each by h, the canonical order
+        expected = list(iter_abelian_periods(text, "select", nontrivial_only=nontrivial_only))
+        calls = [0]
+
+        def counting_key(period):
+            calls[0] += 1
+            return period_order_key(period)
+
+        monkeypatch.setattr(abelianperiods, "period_order_key", counting_key)
+        got = list(iter_abelian_periods(text, "online-array", nontrivial_only=nontrivial_only))
+        assert got == expected
+        assert calls[0] == 0
+        for algo in ("online-list", "online-heap"):
+            got = list(iter_abelian_periods(text, algo, nontrivial_only=nontrivial_only))
+            assert got == expected, algo
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_nontrivial_only(self, algo):
