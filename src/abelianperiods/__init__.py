@@ -21,7 +21,7 @@ from .analysis import (
 )
 from .generators import cyclic_word, fibonacci_word, random_word, spike_word
 from .offline import brute_force_periods, select_periods
-from .online import Sink, extract_until_ok, online_array, online_heap, online_list
+from .online import Sink, _lifetime_rows, extract_until_ok, online_array, online_heap, online_list
 from .rank_select import (
     SelectIndex,
     compute_g,
@@ -98,8 +98,8 @@ def iter_abelian_periods(
 
     Arguments are checked on the call, not on the first ``next``. ``brute``
     and ``select`` return their generators, so stopping early stops the
-    enumeration; the on-line algorithms run the whole word (and ``sink``)
-    before this returns.
+    enumeration. The on-line algorithms run the whole word (and ``sink``)
+    first, and their finals go into rows of lifetimes read by p, then h.
     """
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -118,13 +118,16 @@ def iter_abelian_periods(
         return select_periods(table, nontrivial_only=nontrivial_only)
     n = table.n
     if algo == "online-array":
-        # rows by p, each by h: the finals come in canonical order unsorted
         rows = online_array(table, sink)
-        final = ((h, p) for p, row in enumerate(rows) for h, j in enumerate(row) if j == n)
-        return iter(filter_nontrivial(final, n)) if nontrivial_only else final
-    final = online_list(table, sink) if algo == "online-list" else online_heap(table, sink)
-    kept = filter_nontrivial(final, n) if nontrivial_only else final
-    return iter(sorted(kept, key=period_order_key))
+    else:
+        final = online_list(table, sink) if algo == "online-list" else online_heap(table, sink)
+        rows = _lifetime_rows(n)
+        for h, p in final:
+            rows[p][h] = n
+    # by p, then h: canonical order with no sort, cut at h + blocks·p <= n
+    blocks = 2 if nontrivial_only else 1
+    return ((h, p) for p in range(1, n // blocks + 1)
+            for h, j in enumerate(rows[p][: n - blocks * p + 1]) if j == n)
 
 
 def abelian_periods(

@@ -290,15 +290,17 @@ def _packed_step(
     return dead
 
 
-def online_array(table: PrefixParikhTable, sink: Sink | None = None) -> list[array]:
-    """Longest-surviving-prefix table, one ``array('i')`` row per block length.
+def _lifetime_rows(n: int) -> list[array]:
+    """Rows p = 0..n of -1s, ``array('i')``, one entry per head h < p with h + p <= n."""
+    return [array("i", [-1]) * min(p, n - p + 1) for p in range(n + 1)]
 
-    ``t[p][h]`` (h < p, h + p <= n; row p has min(p, n - p + 1) entries) is
+
+def online_array(table: PrefixParikhTable, sink: Sink | None = None) -> list[array]:
+    """Longest-surviving-prefix table: ``t[p][h]`` (:func:`_lifetime_rows`) is
     the length of the longest prefix having the period (h, p), or -1 when its
-    head never fits. The final periods are the pairs with ``t[p][h] == n``.
-    """
+    head never fits. The final periods are the pairs with ``t[p][h] == n``."""
     n = table.n
-    t = [array("i", [-1]) * min(p, n - p + 1) for p in range(n + 1)]
+    t = _lifetime_rows(n)
     slots = _Slots(table)
     for i, dead in _sweep(table, _packed_step, slots, sink):
         for h, p in dead:

@@ -660,6 +660,8 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "text",
         [
+            pytest.param("", id="empty"),
+            pytest.param("a", id="a"),
             pytest.param(random_word(2, 300, seed=7).text, id="random-2-300"),
             pytest.param(fibonacci_word(300).text, id="fibonacci-300"),
             pytest.param(cyclic_word(3, 300).text, id="cyclic-3-300"),
@@ -667,21 +669,55 @@ class TestDispatch:
     )
     @pytest.mark.parametrize("nontrivial_only", [False, True])
     def test_array_finals_skip_the_sort(self, monkeypatch, text, nontrivial_only):
-        # online_array's rows come by p and each by h, the canonical order
+        # every on-line algorithm's finals are read off array rows by p and
+        # then h, the canonical order
         expected = list(iter_abelian_periods(text, "select", nontrivial_only=nontrivial_only))
-        calls = [0]
+        calls = Counter()
 
         def counting_key(period):
-            calls[0] += 1
+            calls["period_order_key"] += 1
             return period_order_key(period)
 
+        def counting_sorted(*args, **kwargs):
+            calls["sorted"] += 1
+            return sorted(*args, **kwargs)
+
         monkeypatch.setattr(abelianperiods, "period_order_key", counting_key)
-        got = list(iter_abelian_periods(text, "online-array", nontrivial_only=nontrivial_only))
-        assert got == expected
-        assert calls[0] == 0
-        for algo in ("online-list", "online-heap"):
+        monkeypatch.setattr(abelianperiods, "sorted", counting_sorted, raising=False)
+        for algo in ONLINE_ALGOS:
             got = list(iter_abelian_periods(text, algo, nontrivial_only=nontrivial_only))
             assert got == expected, algo
+            assert not calls, (algo, calls)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param(random_word(2, 600, seed=7).text, id="random-2-600"),
+            pytest.param(fibonacci_word(600).text, id="fibonacci-600"),
+        ],
+    )
+    @pytest.mark.parametrize("algo", ["online-list", "online-heap"])
+    def test_finals_cost_the_rows_beyond_the_call(self, text, algo):
+        # the dispatch writes the finals into lifetime rows, 4 bytes an entry
+        # (90,300 entries at n = 600), and holds no sorted copy of them
+        word = Word(text)
+        n = len(text)
+        entries = sum(min(p, n - p + 1) for p in range(n + 1))
+        enumerator = getattr(abelianperiods, algo.replace("-", "_"))
+        peaks = []
+        tracemalloc.start()
+        try:
+            for run in (
+                lambda: enumerator(PrefixParikhTable(word)),
+                lambda: sum(1 for _ in iter_abelian_periods(word, algo)),
+            ):
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 12 * entries, (peaks, entries)
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_nontrivial_only(self, algo):
