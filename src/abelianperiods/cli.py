@@ -18,10 +18,8 @@ Exit codes: 0 success, 1 data or verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
-import statistics
 import sys
 import time
 from itertools import islice, product
@@ -215,6 +213,10 @@ def _word_seed(seed: int, sigma: int, length: int, j: int) -> int:
 
 
 def cmd_bench(args) -> int:
+    # imported here, not at the top: every `periods` child would load them
+    import csv
+    import statistics
+
     try:
         out = open(args.csv_path, "w", newline="") if args.csv_path else sys.stdout
     except OSError as exc:

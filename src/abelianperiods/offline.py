@@ -12,11 +12,19 @@ Two enumerators with identical output:
   shorter than it) needs no vector test: the one-block periods of each
   head form an interval of p, found once per head by binary search.
 
-Every head, block and tail test is one operation on packed Parikh vectors
-(see :class:`~abelianperiods.words.PrefixParikhTable`), so its cost does
-not grow with the alphabet. Both stream their output lazily as generators,
-in canonical order (increasing p, then increasing h), in O(n^2) vector
-operations.
+Both screen all heads of one block length p at once, on big ints with one
+slot per head. A multi-block head goes on to the exact tests only if its
+first two blocks have equal fingerprints, a fixed positive weighted sum of
+the letter counts; brute's one-block heads get their head and tail tests
+on slots holding whole packed Parikh vectors. Anagrams share a
+fingerprint, so the screen drops no period, and two blocks that are not
+anagrams but share one only cost an exact block walk, which compares
+whole vectors from the first block on. Per p the screens take
+O(n * sigma * log n / w) operations on w-bit machine words; every exact
+head, block and tail test is one operation on packed Parikh vectors (see
+:class:`~abelianperiods.words.PrefixParikhTable`). Both stream their
+output lazily as generators, in canonical order (increasing p, then
+increasing h), in O(n^2) vector operations.
 
 With ``nontrivial_only`` the candidate range is capped at h + 2p <= n, so
 only periods with at least two full blocks are enumerated (and paid for);
@@ -25,12 +33,26 @@ there select gains only what the M and G tables prune.
 
 from __future__ import annotations
 
+from itertools import accumulate, compress, repeat
 from typing import Iterator
 
 from .rank_select import compute_g, compute_m, compute_select
 from .words import Period, PrefixParikhTable, Word
 
 __all__ = ["brute_force_periods", "select_periods"]
+
+
+def _letter_weights(sigma: int) -> list[int]:
+    """The fingerprint weight of each letter rank: positive, so prefix
+    fingerprints never decrease, and distinct, so two blocks over two
+    letters share a fingerprint only if they are anagrams."""
+    return [(a + 1) ** 2 for a in range(sigma)]
+
+
+def _slots(values, size: int) -> int:
+    """One int holding the values in consecutive ``size``-byte slots, the
+    first value lowest."""
+    return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
 
 
 def _verified_periods(
@@ -49,45 +71,81 @@ def _verified_periods(
     must guarantee it. A one-block candidate has no blocks to walk: with
     ``starts`` (see :func:`_one_block_starts`) it is a period iff
     p >= starts[h], without it its head and tail are tested.
+
+    Each p's heads are screened together, on windows of slots cut out of
+    one int per table. Slots have spare top bits, so none borrows from the
+    next, and each head's verdict lands in its slot's top byte, read back
+    by ``to_bytes`` as ``compress`` selectors. A multi-block head passes
+    iff the slot of (X2 - X1) ^ (X1 - X0), X0, X1 and X2 the fingerprint
+    windows at heads 0, p and 2p, is 0. A one-block head passes iff all
+    guard bits of its slot survive the containment test of
+    :class:`PrefixParikhTable` for both its head and its tail.
     """
     n = table.n
     P, guard = table.packed, table.guard
     Pn = P[n]
     hcap = n if bound is None else len(bound)
+    weights = _letter_weights(table.word.alphabet.size)
+    f = list(accumulate(map(weights.__getitem__, table.word.codes), initial=0))
+    nb = (f[n].bit_length() + 8) // 8
+    bits, most = 8 * nb, n // 3 + 1
+    fingerprints = _slots(f, nb)
+    tops = _slots([1 << bits - 1] * most, nb)
+    if starts is None and not nontrivial_only:
+        vb = -(-table.width * table.word.alphabet.size // 8)
+        sb, wide = vb + 1, n // 2 + 1
+        sbits = 8 * sb
+        prefixes = _slots(P, sb)
+        s_ones, guards, gaps, lifts = (
+            _slots([v] * wide, sb) for v in ((1 << sbits) - 1, guard, guard - Pn, (1 << 8 * vb) - guard)
+        )
     for p in range(1, n + 1):
-        for h in range(min(p - 1, n - 2 * p, hcap - 1) + 1):
-            if bound is not None and p < bound[h]:
-                continue
-            ph = P[h]
-            j = h + p
-            block = P[j] - ph
-            if bound is None and ((block | guard) - ph) & guard != guard:
-                continue
-            t = (n - h) % p
-            last = n - t
-            e = P[j]
-            while j < last:
-                j += p
-                e += block
-                if P[j] != e:
-                    break
-            else:
-                if not t or ((block | guard) - (Pn - P[last])) & guard == guard:
-                    yield h, p
+        m = min(p - 1, n - 2 * p, hcap - 1) + 1
+        same = 0
+        if m > 0:
+            cut = bits * (most - m)
+            mask, F = (1 << bits * m) - 1, tops >> cut
+            X0 = fingerprints & mask
+            X1 = (fingerprints >> bits * p) & mask
+            X2 = (fingerprints >> 2 * bits * p) & mask
+            same = (F - ((X2 - X1) ^ (X1 - X0))) & F
+        if same:
+            for h in compress(range(m), same.to_bytes(m * nb, "little")[nb - 1 :: nb]):
+                if bound is not None and p < bound[h]:
+                    continue
+                ph = P[h]
+                j = h + p
+                block = P[j] - ph
+                if bound is None and ((block | guard) - ph) & guard != guard:
+                    continue
+                t = (n - h) % p
+                last = n - t
+                e = P[j]
+                while j < last:
+                    j += p
+                    e += block
+                    if P[j] != e:
+                        break
+                else:
+                    if not t or ((block | guard) - (Pn - P[last])) & guard == guard:
+                        yield h, p
         if nontrivial_only:
             continue
-        one_block = range(max(0, n - 2 * p + 1), min(p - 1, n - p, hcap - 1) + 1)
-        if starts is None:
-            for h in one_block:
-                ph = P[h]
-                e = P[h + p]
-                guarded = (e - ph) | guard
-                if (guarded - ph) & guard == guard and (guarded - (Pn - e)) & guard == guard:
-                    yield h, p
-        else:
-            for h in one_block:
+        lo = max(0, n - 2 * p + 1)
+        hi = min(p - 1, n - p, hcap - 1) + 1
+        if starts is not None:
+            for h in range(lo, hi):
                 if starts[h] <= p:
                     yield h, p
+        elif lo < hi:
+            cut = sbits * (wide - (hi - lo))
+            mask, G = s_ones >> cut, guards >> cut
+            H = (prefixes >> sbits * lo) & mask
+            E = (prefixes >> sbits * (lo + p)) & mask
+            B = E - H
+            both = (B + G - H) & (B + E + (gaps >> cut)) & G
+            ok = (both + (lifts >> cut)).to_bytes((hi - lo) * sb, "little")
+            yield from compress(zip(range(lo, hi), repeat(p)), ok[sb - 1 :: sb])
 
 
 def _one_block_starts(table: PrefixParikhTable, bound: list[int]) -> list[int]:

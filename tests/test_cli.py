@@ -277,21 +277,29 @@ class TestStreamedOutput:
 
 
 class TestStartup:
-    def test_cli_import_leaves_out_dataclasses_and_inspect(self):
+    @staticmethod
+    def loaded_by_cli_import(names):
         # every `periods` child pays for what importing the CLI loads; -S
         # keeps site-packages hooks from adding modules of their own
         src = os.path.dirname(os.path.dirname(abelianperiods.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         probe = (
             "import abelianperiods.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+            f"print(sorted({set(names)!r} & set(sys.modules)))"
         )
         child = subprocess.run(
             [sys.executable, "-S", "-c", probe],
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert child.returncode == 0, child.stderr
-        assert child.stdout == "[]\n"
+        return child.stdout
+
+    def test_cli_import_leaves_out_dataclasses_and_inspect(self):
+        assert self.loaded_by_cli_import(["dataclasses", "inspect"]) == "[]\n"
+
+    def test_cli_import_leaves_out_the_bench_modules(self):
+        # statistics alone pulls in fractions, decimal and random
+        assert self.loaded_by_cli_import(["statistics", "csv"]) == "[]\n"
 
 
 class TestGenerateCommand:
