@@ -20,7 +20,7 @@ from .analysis import (
     smallest_period,
 )
 from .generators import cyclic_word, fibonacci_word, random_word, spike_word
-from .offline import brute_force_periods, select_periods
+from .offline import _brute_force_rows, _periods_of_rows, _select_rows, brute_force_periods, select_periods
 from .online import Sink, _lifetime_rows, extract_until_ok, online_array, online_heap, online_list
 from .rank_select import (
     SelectIndex,
@@ -87,20 +87,8 @@ ONLINE_ALGOS = ("online-array", "online-list", "online-heap")
 ALGOS = ("brute", "select") + ONLINE_ALGOS
 
 
-def iter_abelian_periods(
-    word,
-    algo: str = "select",
-    *,
-    nontrivial_only: bool = False,
-    sink: "Sink | None" = None,
-) -> "Iterator[Period]":
-    """The list of :func:`abelian_periods`, as an iterator in the same order.
-
-    Arguments are checked on the call, not on the first ``next``. ``brute``
-    and ``select`` return their generators, so stopping early stops the
-    enumeration. The on-line algorithms run the whole word (and ``sink``)
-    first, and their finals go into rows of lifetimes read by p, then h.
-    """
+def _checked_table(word, algo: str, sink: "Sink | None") -> PrefixParikhTable:
+    """The prefix table of ``word``, once ``algo`` and ``sink`` are checked."""
     if algo not in ALGOS:
         raise ValueError(f"unknown algorithm {algo!r}")
     if sink is not None and algo not in ONLINE_ALGOS:
@@ -109,13 +97,14 @@ def iter_abelian_periods(
         word = Word(word)
     elif not isinstance(word, Word):
         raise TypeError(f"word must be a str or Word, not {type(word).__name__}")
-    table = PrefixParikhTable(word)
-    # module-global lookups, so that patching or wrapping an enumerator on
-    # this package reaches every call made through here
-    if algo == "brute":
-        return brute_force_periods(table, nontrivial_only=nontrivial_only)
-    if algo == "select":
-        return select_periods(table, nontrivial_only=nontrivial_only)
+    return PrefixParikhTable(word)
+
+
+def _online_rows(
+    table: PrefixParikhTable, algo: str, sink: "Sink | None", nontrivial_only: bool
+) -> "Iterator[offline.Row]":
+    """Run an on-line algorithm over the whole word now, and return its
+    finals as rows ``(p, heads)``, read off rows of lifetimes by p."""
     n = table.n
     if algo == "online-array":
         rows = online_array(table, sink)
@@ -126,8 +115,52 @@ def iter_abelian_periods(
             rows[p][h] = n
     # by p, then h: canonical order with no sort, cut at h + blocks·p <= n
     blocks = 2 if nontrivial_only else 1
-    return ((h, p) for p in range(1, n // blocks + 1)
-            for h, j in enumerate(rows[p][: n - blocks * p + 1]) if j == n)
+    return (
+        (p, heads)
+        for p in range(1, n // blocks + 1)
+        if (heads := [h for h, j in enumerate(rows[p][: n - blocks * p + 1]) if j == n])
+    )
+
+
+def _period_rows(word, algo: str = "select", *, nontrivial_only: bool = False) -> "Iterator[offline.Row]":
+    """The periods of :func:`iter_abelian_periods` as rows ``(p, heads)``:
+    one per block length p that has a period, by increasing p, with the
+    increasing heads h of its periods (h, p).
+
+    Arguments are checked as there. ``brute`` and ``select`` return their
+    row generators, so stopping early stops the enumeration.
+    """
+    table = _checked_table(word, algo, None)
+    # module-global lookups, as in iter_abelian_periods
+    if algo == "brute":
+        return _brute_force_rows(table, nontrivial_only=nontrivial_only)
+    if algo == "select":
+        return _select_rows(table, nontrivial_only=nontrivial_only)
+    return _online_rows(table, algo, None, nontrivial_only)
+
+
+def iter_abelian_periods(
+    word,
+    algo: str = "select",
+    *,
+    nontrivial_only: bool = False,
+    sink: "Sink | None" = None,
+) -> "Iterator[Period]":
+    """The list of :func:`abelian_periods`, as an iterator in the same order.
+
+    Arguments are checked on the call, not on the first ``next``. ``brute``
+    and ``select`` return their lazy iterators, so stopping early stops the
+    enumeration. The on-line algorithms run the whole word (and ``sink``)
+    first, and their finals go into rows of lifetimes read by p, then h.
+    """
+    table = _checked_table(word, algo, sink)
+    # module-global lookups, so that patching or wrapping an enumerator on
+    # this package reaches every call made through here
+    if algo == "brute":
+        return brute_force_periods(table, nontrivial_only=nontrivial_only)
+    if algo == "select":
+        return select_periods(table, nontrivial_only=nontrivial_only)
+    return _periods_of_rows(_online_rows(table, algo, sink, nontrivial_only))
 
 
 def abelian_periods(

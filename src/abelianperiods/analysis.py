@@ -58,9 +58,13 @@ def filter_nondeducible(periods: Iterable[Period], n: int) -> list[Period]:
       (0, p) has h' = p (mod q), which needs q < p.
 
     ``cut[p]`` ORs each divisor's mask tiled p // q times, so each period
-    costs one bit test. Cost, for s periods of largest block length m:
-    O(s) validation and bit tests, O(m log m) tile products over ints of
-    at most m bits, and O(number of block lengths) per single-cut period.
+    costs one bit test. The single-cut periods are settled together: each
+    block length q, smallest first, tiles its mask over m bits by doubling
+    and clears the pending p > q it refines, until none is pending. Cost,
+    for s periods of largest block length m: O(s) validation and bit tests,
+    O(m log m) tile products over ints of at most m bits, and O(log m)
+    shifts of m-bit ints per block length q that a pending period still
+    exceeds.
 
     Raises ValueError for a pair outside 0 <= h < p, h + p <= n, where the
     criterion does not hold.
@@ -84,9 +88,21 @@ def filter_nondeducible(periods: Iterable[Period], n: int) -> list[Period]:
             if heads[p]:
                 # heads[q] repeated p // q times, q bits apart
                 cut[p] |= heads[q] * (((1 << p) - 1) // ((1 << q) - 1))
+    # bit p of pending: (0, p) cuts only at p, and no q seen yet refines it
+    single = pending = sum(1 << p for p in present if 2 * p > n and heads[p] & 1)
+    for q in present:
+        if not pending >> q + 1:
+            break
+        # heads[q] tiled over the bits of every block length: bit x is set
+        # iff x % q is a head of q; it refines the pending p > q it covers
+        tile, width = heads[q], q
+        while width < len(heads):
+            tile |= tile << width
+            width *= 2
+        pending &= ~(tile >> q + 1 << q + 1)
+    refined = single & ~pending
     for p in present:
-        if 2 * p > n:
-            cut[p] |= any(heads[q] >> p % q & 1 for q in present if q < p)
+        cut[p] |= refined >> p & 1
     return [hp for hp in periods if not cut[hp[1]] >> hp[0] & 1]
 
 

@@ -18,7 +18,6 @@ Exit codes: 0 success, 1 data or verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -26,11 +25,12 @@ from itertools import islice, product
 from string import ascii_lowercase
 from typing import Callable, Iterable, Iterator
 
-from . import ALGOS, ONLINE_ALGOS, iter_abelian_periods
+from . import ALGOS, ONLINE_ALGOS, _period_rows, iter_abelian_periods
 # the library's one dispatch; perfbench's traced pass calls it under this name
 from . import abelian_periods as run_algorithm
 from .analysis import filter_nondeducible, filter_nontrivial
 from .generators import cyclic_word, fibonacci_word, random_word, spike_word
+from .offline import Row
 from .words import (
     Alphabet,
     Period,
@@ -106,6 +106,23 @@ def _write_periods(periods: Iterable[Period]) -> None:
     _write_joined(f"{h} {p}\n" for h, p in periods)
 
 
+def _write_rows(rows: Iterable[Row], n: int) -> None:
+    """Write the ``h p`` lines of rows ``(p, heads)`` to stdout, once at
+    least ``BATCH`` periods are joined; a longer row goes out whole."""
+    names = [f"{h} " for h in range(n // 2 + 1)]
+    pieces: list[str] = []
+    joined = 0
+    for p, heads in rows:
+        end = f"{p}\n"
+        pieces += end.join(map(names.__getitem__, heads)), end
+        joined += len(heads)
+        if joined >= BATCH:
+            sys.stdout.write("".join(pieces))
+            pieces.clear()
+            joined = 0
+    sys.stdout.write("".join(pieces))
+
+
 def _input_word(args) -> Word:
     if args.word is not None:
         return Word(args.word)
@@ -131,14 +148,29 @@ def cmd_periods(args) -> int:
 
         run_algorithm(word, args.algo, sink=show)
         return 0
-    # streamed in canonical order; only the non-deducible filter needs the
-    # whole list
-    periods = iter_abelian_periods(
-        word, args.algo, nontrivial_only=args.filter_name == "nontrivial"
-    )
+    nontrivial_only = args.filter_name == "nontrivial"
+    if not args.as_json and args.filter_name != "nondeducible":
+        # rows (p, heads) in canonical order: a count is a sum of row
+        # lengths, the smallest period the first head of the first row
+        rows = _period_rows(word, args.algo, nontrivial_only=nontrivial_only)
+        if args.count:
+            print(sum(len(heads) for _, heads in rows))
+        elif args.smallest:
+            for p, heads in rows:
+                print(heads[0], p)
+                break
+        else:
+            _write_rows(rows, len(word))
+        return 0
+    # one (h, p) tuple per period: --json streams them, and the
+    # non-deducible filter, the only route to the modes below, needs a list
+    periods = iter_abelian_periods(word, args.algo, nontrivial_only=nontrivial_only)
     if args.filter_name == "nondeducible":
         periods = filter_nondeducible(periods, len(word))
     if args.as_json:
+        # imported here, not at the top: every other `periods` child would load it
+        import json
+
         # the bytes of print(json.dumps(document)), written in pieces: the
         # other fields, then the period array in batches, never built whole
         fields = {"word_length": len(word), "algo": args.algo, "filter": args.filter_name}
@@ -146,10 +178,10 @@ def cmd_periods(args) -> int:
         _write_joined((f"[{h}, {p}]" for h, p in periods), ", ")
         sys.stdout.write("]}\n")
     elif args.count:
-        print(sum(1 for _ in periods))
+        print(len(periods))
     elif args.smallest:
         # the first period in canonical order is the smallest
-        _write_periods(islice(periods, 1))
+        _write_periods(periods[:1])
     else:
         _write_periods(periods)
     return 0

@@ -12,19 +12,27 @@ Two enumerators with identical output:
   shorter than it) needs no vector test: the one-block periods of each
   head form an interval of p, found once per head by binary search.
 
-Both screen all heads of one block length p at once, on big ints with one
-slot per head. A multi-block head goes on to the exact tests only if its
-first two blocks have equal fingerprints, a fixed positive weighted sum of
-the letter counts; brute's one-block heads get their head and tail tests
-on slots holding whole packed Parikh vectors. Anagrams share a
+Both come from one body, :func:`_verified_rows`, which yields one row
+``(p, heads)`` per block length p that has a period: ``heads`` is the
+increasing list of every h with (h, p) a period, and the rows come by
+increasing p. The enumerators flatten the rows into (h, p) tuples
+(:func:`_periods_of_rows`), lazily and in canonical order (increasing p,
+then increasing h); the CLI reads the rows themselves
+(:func:`_brute_force_rows`, :func:`_select_rows`), so it counts, lists and
+finds the smallest period without a tuple per period.
+
+The body screens all heads of one block length p at once, on big ints
+with one slot per head. A multi-block head goes on to the exact tests only
+if its first two blocks have equal fingerprints, a fixed positive weighted
+sum of the letter counts; brute's one-block heads get their head and tail
+tests on slots holding whole packed Parikh vectors. Anagrams share a
 fingerprint, so the screen drops no period, and two blocks that are not
 anagrams but share one only cost an exact block walk, which compares
 whole vectors from the first block on. Per p the screens take
 O(n * sigma * log n / w) operations on w-bit machine words; every exact
 head, block and tail test is one operation on packed Parikh vectors (see
-:class:`~abelianperiods.words.PrefixParikhTable`). Both stream their
-output lazily as generators, in canonical order (increasing p, then
-increasing h), in O(n^2) vector operations.
+:class:`~abelianperiods.words.PrefixParikhTable`), O(n^2) vector
+operations in all.
 
 With ``nontrivial_only`` the candidate range is capped at h + 2p <= n, so
 only periods with at least two full blocks are enumerated (and paid for);
@@ -33,13 +41,16 @@ there select gains only what the M and G tables prune.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, repeat
-from typing import Iterator
+from itertools import accumulate, chain, compress, repeat
+from typing import Iterable, Iterator
 
 from .rank_select import compute_g, compute_m, compute_select
 from .words import Period, PrefixParikhTable, Word
 
 __all__ = ["brute_force_periods", "select_periods"]
+
+# one block length p and the increasing heads h of its periods (h, p)
+Row = tuple[int, list[int]]
 
 
 def _letter_weights(sigma: int) -> list[int]:
@@ -55,22 +66,25 @@ def _slots(values, size: int) -> int:
     return int.from_bytes(b"".join([v.to_bytes(size, "little") for v in values]), "little")
 
 
-def _verified_periods(
+def _verified_rows(
     table: PrefixParikhTable,
     nontrivial_only: bool,
     bound: list[int] | None = None,
     starts: list[int] | None = None,
-) -> Iterator[Period]:
-    """The candidates (h, p) that pass the head, block and tail tests.
+) -> Iterator[Row]:
+    """Per p, the heads h of the candidates (h, p) that pass the head,
+    block and tail tests, as a row ``(p, heads)``; a p without a period
+    yields nothing.
 
-    Per p, the multi-block heads (h + 2p <= n) come before the one-block
-    heads (h + 2p > n), which keeps the canonical order. Without ``bound``
-    every admissible candidate is tried and the head is tested against the
-    first block. With it only heads h < len(bound) are tried, a multi-block
-    candidate only if p >= bound[h], and without a head test: the bound
-    must guarantee it. A one-block candidate has no blocks to walk: with
-    ``starts`` (see :func:`_one_block_starts`) it is a period iff
-    p >= starts[h], without it its head and tail are tested.
+    Each row is done before the next p is read. Its multi-block heads
+    (h + 2p <= n) come before its one-block heads (h + 2p > n), so the
+    heads increase. Without ``bound`` every admissible candidate is tried
+    and the head is tested against the first block. With it only heads
+    h < len(bound) are tried, a multi-block candidate only if
+    p >= bound[h], and without a head test: the bound must guarantee it. A
+    one-block candidate has no blocks to walk: with ``starts`` (see
+    :func:`_one_block_starts`) it is a period iff p >= starts[h], without
+    it its head and tail are tested.
 
     Each p's heads are screened together, on windows of slots cut out of
     one int per table. Slots have spare top bits, so none borrows from the
@@ -100,6 +114,7 @@ def _verified_periods(
             _slots([v] * wide, sb) for v in ((1 << sbits) - 1, guard, guard - Pn, (1 << 8 * vb) - guard)
         )
     for p in range(1, n + 1):
+        heads = []
         m = min(p - 1, n - 2 * p, hcap - 1) + 1
         same = 0
         if m > 0:
@@ -128,24 +143,30 @@ def _verified_periods(
                         break
                 else:
                     if not t or ((block | guard) - (Pn - P[last])) & guard == guard:
-                        yield h, p
-        if nontrivial_only:
-            continue
-        lo = max(0, n - 2 * p + 1)
-        hi = min(p - 1, n - p, hcap - 1) + 1
-        if starts is not None:
-            for h in range(lo, hi):
-                if starts[h] <= p:
-                    yield h, p
-        elif lo < hi:
-            cut = sbits * (wide - (hi - lo))
-            mask, G = s_ones >> cut, guards >> cut
-            H = (prefixes >> sbits * lo) & mask
-            E = (prefixes >> sbits * (lo + p)) & mask
-            B = E - H
-            both = (B + G - H) & (B + E + (gaps >> cut)) & G
-            ok = (both + (lifts >> cut)).to_bytes((hi - lo) * sb, "little")
-            yield from compress(zip(range(lo, hi), repeat(p)), ok[sb - 1 :: sb])
+                        heads.append(h)
+        if not nontrivial_only:
+            lo = max(0, n - 2 * p + 1)
+            hi = min(p - 1, n - p, hcap - 1) + 1
+            if starts is not None:
+                for h in range(lo, hi):
+                    if starts[h] <= p:
+                        heads.append(h)
+            elif lo < hi:
+                cut = sbits * (wide - (hi - lo))
+                mask, G = s_ones >> cut, guards >> cut
+                H = (prefixes >> sbits * lo) & mask
+                E = (prefixes >> sbits * (lo + p)) & mask
+                B = E - H
+                both = (B + G - H) & (B + E + (gaps >> cut)) & G
+                ok = (both + (lifts >> cut)).to_bytes((hi - lo) * sb, "little")
+                heads += compress(range(lo, hi), ok[sb - 1 :: sb])
+        if heads:
+            yield p, heads
+
+
+def _periods_of_rows(rows: Iterable[Row]) -> Iterator[Period]:
+    """The periods (h, p) of rows ``(p, heads)``, lazily and in row order."""
+    return chain.from_iterable(zip(heads, repeat(p)) for p, heads in rows)
 
 
 def _one_block_starts(table: PrefixParikhTable, bound: list[int]) -> list[int]:
@@ -188,7 +209,12 @@ def brute_force_periods(
     remaining full blocks against the first one, and the tail last. A
     one-block candidate (h + 2p > n) has no remaining block to walk.
     """
-    return _verified_periods(table, nontrivial_only)
+    return _periods_of_rows(_brute_force_rows(table, nontrivial_only=nontrivial_only))
+
+
+def _brute_force_rows(table: PrefixParikhTable, *, nontrivial_only: bool = False) -> Iterator[Row]:
+    """The periods of :func:`brute_force_periods` as rows ``(p, heads)``."""
+    return _verified_rows(table, nontrivial_only)
 
 
 def _select_bound(word: Word) -> list[int]:
@@ -214,6 +240,11 @@ def select_periods(
     tail test of :func:`brute_force_periods`; one-block candidates are one
     comparison with :func:`_one_block_starts`. Output is identical to it.
     """
+    return _periods_of_rows(_select_rows(table, nontrivial_only=nontrivial_only))
+
+
+def _select_rows(table: PrefixParikhTable, *, nontrivial_only: bool = False) -> Iterator[Row]:
+    """The periods of :func:`select_periods` as rows ``(p, heads)``."""
     bound = _select_bound(table.word)
     starts = None if nontrivial_only else _one_block_starts(table, bound)
-    return _verified_periods(table, nontrivial_only, bound, starts)
+    return _verified_rows(table, nontrivial_only, bound, starts)

@@ -88,6 +88,35 @@ class TestFilterNondeducible:
         for periods in (alone, refined):
             assert filter_nondeducible(periods, 8) == pairwise_nondeducible(periods, 8)
 
+    def test_single_cut_period_refined_only_just_below(self):
+        # (0, 5) cuts only at 5; of the shorter block lengths only (1, 4),
+        # cutting at 1, 5 and 9, refines it
+        periods = [(0, 5), (0, 3), (1, 4)]
+        assert filter_nondeducible(periods, 9) == [(0, 3), (1, 4)] == pairwise_nondeducible(periods, 9)
+        # no block length refines itself: the tile of (0, 4) covers 4, and
+        # it is laid while (0, 5) is still to be settled
+        periods = [(0, 4), (0, 5)]
+        assert filter_nondeducible(periods, 7) == periods == pairwise_nondeducible(periods, 7)
+
+    def test_single_cuts_all_refined_before_the_last_block_length(self):
+        # (1, 2) refines both single-cut periods, (0, 5) and (0, 7), so
+        # block lengths 5 and 7 refine none that is left
+        periods = [(0, 7), (1, 7), (0, 5), (1, 2)]
+        assert filter_nondeducible(periods, 9) == [(1, 7), (1, 2)] == pairwise_nondeducible(periods, 9)
+
+    @pytest.mark.parametrize(
+        "periods,n,kept",
+        [
+            ([(0, 9), (0, 1), (0, 13)], 16, [(0, 1)]),
+            ([(0, 19), (0, 12), (1, 2), (0, 11)], 21, [(0, 12), (1, 2)]),
+        ],
+        ids=["q=1", "q=2"],
+    )
+    def test_short_block_length_tiled_by_several_doublings(self, periods, n, kept):
+        # the mask of q = 1 or 2 is doubled four or five times to reach the
+        # last block length
+        assert filter_nondeducible(periods, n) == kept == pairwise_nondeducible(periods, n)
+
     def test_divisor_tiled_four_times_refines_a_late_head(self):
         # (37, 44) cuts at 37 and 81, both 4 mod 11: only (4, 11), whose
         # head mask is tiled four times over 44 bits, refines it

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -209,6 +210,31 @@ class TestStreamedOutput:
                                   "--filter", filter_name, *mode)
                 assert got == (0, want, ""), (text, mode)
 
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_rows_longer_than_a_batch(self, periods_cmd, monkeypatch, algo):
+        # a listing goes out once BATCH periods are joined, in whole rows
+        # (p, heads): each word below has rows longer than a batch and rows
+        # that end inside one
+        batch = 64
+        monkeypatch.setattr("abelianperiods.cli.BATCH", batch)
+        for word in (fibonacci_word(377), spike_word(150), cyclic_word(4, 300)):
+            n = len(word)
+            every = abelian_periods(word, algo)
+            for filter_name in ("all", "nontrivial"):
+                periods = _filtered(every, filter_name, n)
+                sizes = Counter(p for _, p in periods).values()
+                assert not periods or min(sizes) < batch < max(sizes), (n, filter_name)
+                hp = smallest_period(periods)
+                expected = {
+                    (): _listing(periods),
+                    ("--count",): f"{len(periods)}\n",
+                    ("--smallest",): "" if hp is None else _listing([hp]),
+                }
+                for mode, want in expected.items():
+                    got = periods_cmd("--word", word.text, "--algo", algo,
+                                      "--filter", filter_name, *mode)
+                    assert got == (0, want, ""), (n, filter_name, mode)
+
     @pytest.mark.parametrize("filter_name", FILTERS)
     @pytest.mark.parametrize("algo", ONLINE_ALGOS)
     def test_prefix_listing_matches_the_sink_sets(self, periods_cmd, algo, filter_name):
@@ -225,20 +251,23 @@ class TestStreamedOutput:
             assert got == (0, "".join(blocks), ""), text
 
     def test_smallest_pulls_one_period(self, cli, monkeypatch):
+        # the CLI reads select's rows (p, heads), not its (h, p) tuples: it
+        # must pull only the row that holds the smallest period
         text = fibonacci_word(233).text
         smallest = smallest_period(abelian_periods(text))
-        real = abelianperiods.select_periods
+        real = abelianperiods._select_rows
         pulled = []
 
         def counting(table, **kwargs):
-            for hp in real(table, **kwargs):
-                pulled.append(hp)
-                yield hp
+            for row in real(table, **kwargs):
+                pulled.append(row)
+                yield row
 
-        monkeypatch.setattr("abelianperiods.select_periods", counting)
+        monkeypatch.setattr("abelianperiods._select_rows", counting)
         code, out, _ = cli("periods", "--word", text, "--smallest")
         assert code == 0 and out == _listing([smallest])
-        assert pulled == [smallest]
+        assert [p for p, _ in pulled] == [smallest[1]]
+        assert pulled[0][1][0] == smallest[0]
 
     def test_count_holds_no_list(self, cli):
         text = fibonacci_word(987).text
@@ -300,6 +329,10 @@ class TestStartup:
     def test_cli_import_leaves_out_the_bench_modules(self):
         # statistics alone pulls in fractions, decimal and random
         assert self.loaded_by_cli_import(["statistics", "csv"]) == "[]\n"
+
+    def test_cli_import_leaves_out_json(self):
+        # only --json writes JSON
+        assert self.loaded_by_cli_import(["json", "_json"]) == "[]\n"
 
 
 class TestGenerateCommand:
