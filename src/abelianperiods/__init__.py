@@ -9,19 +9,18 @@ Quick start::
 Five interchangeable enumerators are available (two off-line, three
 on-line); see :func:`abelian_periods`, its lazy form
 :func:`iter_abelian_periods`, and the module docs.
+
+Importing the package loads only :mod:`.words`, :mod:`.rank_select` and
+:mod:`.offline`, all that listing, counting or finding the smallest period
+off-line runs. The on-line enumerators and ``Sink`` (:mod:`.online`), the
+filters and ``cutting_positions`` / ``smallest_period`` (:mod:`.analysis`)
+and the word generators (:mod:`.generators`) load their module on first
+use, as do those three submodule names themselves.
 """
 
-from typing import Iterator
+from collections.abc import Iterator
 
-from .analysis import (
-    cutting_positions,
-    filter_nondeducible,
-    filter_nontrivial,
-    smallest_period,
-)
-from .generators import cyclic_word, fibonacci_word, random_word, spike_word
 from .offline import _brute_force_rows, _periods_of_rows, _select_rows, brute_force_periods, select_periods
-from .online import Sink, _lifetime_rows, extract_until_ok, online_array, online_heap, online_list
 from .rank_select import (
     SelectIndex,
     compute_g,
@@ -83,6 +82,40 @@ __all__ = [
 ]
 
 
+# name -> the submodule that defines it, loaded by __getattr__ on first use
+_LAZY = {
+    **dict.fromkeys(
+        ("Sink", "extract_until_ok", "online_array", "online_heap", "online_list", "online"),
+        "online",
+    ),
+    **dict.fromkeys(
+        ("cutting_positions", "filter_nondeducible", "filter_nontrivial", "smallest_period", "analysis"),
+        "analysis",
+    ),
+    **dict.fromkeys(
+        ("cyclic_word", "fibonacci_word", "random_word", "spike_word", "generators"),
+        "generators",
+    ),
+}
+
+
+def __getattr__(name: str) -> object:
+    """Load the submodule of a lazy name and bind the value here, so that
+    later lookups, patches and wrappers see a plain module global."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    submodule = _LAZY[name]
+    module = import_module(f".{submodule}", __name__)
+    value = globals()[name] = module if name == submodule else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
+
 ONLINE_ALGOS = ("online-array", "online-list", "online-heap")
 ALGOS = ("brute", "select") + ONLINE_ALGOS
 
@@ -105,6 +138,11 @@ def _online_rows(
 ) -> "Iterator[offline.Row]":
     """Run an on-line algorithm over the whole word now, and return its
     finals as rows ``(p, heads)``, read off rows of lifetimes by p."""
+    # looked up on the package at call time, so that patching or wrapping an
+    # on-line enumerator there reaches this dispatch, loaded or not
+    from . import online_array, online_heap, online_list
+    from .online import _lifetime_rows
+
     n = table.n
     if algo == "online-array":
         rows = online_array(table, sink)

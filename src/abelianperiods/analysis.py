@@ -19,7 +19,7 @@ filter never compares two cutting sets (see :func:`filter_nondeducible`).
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .words import Period, period_order_key
 

@@ -21,14 +21,13 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice, product
 from string import ascii_lowercase
-from typing import Callable, Iterable, Iterator
 
 from . import ALGOS, ONLINE_ALGOS, _period_rows, iter_abelian_periods
 # the library's one dispatch; perfbench's traced pass calls it under this name
 from . import abelian_periods as run_algorithm
-from .analysis import filter_nondeducible, filter_nontrivial
 from .generators import cyclic_word, fibonacci_word, random_word, spike_word
 from .offline import Row
 from .words import (
@@ -40,11 +39,9 @@ from .words import (
     periods_by_definition,
 )
 
-FILTERS = {
-    "all": lambda periods, n: periods,
-    "nontrivial": filter_nontrivial,
-    "nondeducible": filter_nondeducible,
-}
+# the filter functions live in .analysis, which only --prefixes and
+# --filter nondeducible import: a listing, --count or --smallest never calls one
+FILTERS = ("all", "nontrivial", "nondeducible")
 # periods per write: one write(2) per line would cost more than the listing
 # when stdout is unbuffered (PYTHONUNBUFFERED=1), while the first byte still
 # comes out after at most one batch
@@ -140,7 +137,13 @@ def cmd_periods(args) -> int:
     if args.prefixes:
         if args.algo not in ONLINE_ALGOS:
             args.parser.error("--prefixes requires an on-line --algo")
-        keep = FILTERS[args.filter_name]
+        from .analysis import filter_nondeducible, filter_nontrivial
+
+        keep = {
+            "all": lambda periods, n: periods,
+            "nontrivial": filter_nontrivial,
+            "nondeducible": filter_nondeducible,
+        }[args.filter_name]
 
         def show(i: int, periods: set[Period]) -> None:
             sys.stdout.write(f"# prefix {i}\n")
@@ -166,6 +169,8 @@ def cmd_periods(args) -> int:
     # non-deducible filter, the only route to the modes below, needs a list
     periods = iter_abelian_periods(word, args.algo, nontrivial_only=nontrivial_only)
     if args.filter_name == "nondeducible":
+        from .analysis import filter_nondeducible
+
         periods = filter_nondeducible(periods, len(word))
     if args.as_json:
         # imported here, not at the top: every other `periods` child would load it

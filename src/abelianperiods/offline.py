@@ -41,8 +41,8 @@ there select gains only what the M and G tables prune.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, compress, repeat
-from typing import Iterable, Iterator
 
 from .rank_select import compute_g, compute_m, compute_select
 from .words import Period, PrefixParikhTable, Word

@@ -58,8 +58,8 @@ from __future__ import annotations
 
 import re
 from array import array
+from collections.abc import Callable, Iterator
 from itertools import accumulate, compress
-from typing import Any, Callable, Iterator
 
 from .words import Period, PrefixParikhTable
 
@@ -70,7 +70,7 @@ __all__ = [
     "extract_until_ok",
 ]
 
-Sink = Callable[[int, "set[Period]"], None]
+Sink = Callable[[int, set[Period]], None]
 Buckets = list[tuple[int, list[Period]]]
 
 
@@ -93,8 +93,8 @@ def _fitting_heads(table: PrefixParikhTable, i: int, h: int) -> int:
 
 def _sweep(
     table: PrefixParikhTable,
-    step: Callable[[PrefixParikhTable, int, Any, list[Period]], list[Period]],
-    state: Any,
+    step: Callable[[PrefixParikhTable, int, object, list[Period]], list[Period]],
+    state: object,
     sink: Sink | None = None,
 ) -> Iterator[tuple[int, list[Period]]]:
     """Yield ``(i, dead)`` for i = 1..n.

@@ -22,8 +22,8 @@ as the correctness oracle for every enumeration algorithm in this package.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import accumulate
-from typing import Iterator
 
 
 Period = tuple[int, int]

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import groupby, product
 
 import pytest
 
+import abelianperiods
 from abelianperiods import (
     PrefixParikhTable,
     Word,
@@ -14,6 +18,23 @@ from abelianperiods import (
     is_abelian_period,
     periods_by_definition,
 )
+
+
+def fresh_python(probe: str) -> str:
+    """The stdout of ``probe`` run in a new interpreter on this package.
+
+    What a module loads, and when, shows only in a process that has not
+    imported it yet. ``-S`` keeps site-packages hooks from adding modules of
+    their own.
+    """
+    src = os.path.dirname(os.path.dirname(abelianperiods.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout
 
 
 def recount_is_period(text: str, h: int, p: int) -> bool:

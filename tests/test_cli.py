@@ -24,7 +24,7 @@ from abelianperiods import (
     spike_word,
 )
 from abelianperiods.cli import ALGOS, EXIT_BROKEN_PIPE, FILTERS, _word_seed, build_parser, main
-from conftest import words_over
+from conftest import fresh_python, words_over
 
 GOLDEN = "abaababa"
 
@@ -307,32 +307,54 @@ class TestStreamedOutput:
 
 class TestStartup:
     @staticmethod
-    def loaded_by_cli_import(names):
-        # every `periods` child pays for what importing the CLI loads; -S
-        # keeps site-packages hooks from adding modules of their own
-        src = os.path.dirname(os.path.dirname(abelianperiods.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        probe = (
-            "import abelianperiods.cli, sys; "
-            f"print(sorted({set(names)!r} & set(sys.modules)))"
-        )
-        child = subprocess.run(
-            [sys.executable, "-S", "-c", probe],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert child.returncode == 0, child.stderr
-        return child.stdout
+    def loaded_by_import(names, module="abelianperiods.cli"):
+        # every `periods` child pays for what importing the CLI loads
+        return fresh_python(f"import {module}, sys; print(sorted({set(names)!r} & set(sys.modules)))")
 
     def test_cli_import_leaves_out_dataclasses_and_inspect(self):
-        assert self.loaded_by_cli_import(["dataclasses", "inspect"]) == "[]\n"
+        assert self.loaded_by_import(["dataclasses", "inspect"]) == "[]\n"
 
     def test_cli_import_leaves_out_the_bench_modules(self):
         # statistics alone pulls in fractions, decimal and random
-        assert self.loaded_by_cli_import(["statistics", "csv"]) == "[]\n"
+        assert self.loaded_by_import(["statistics", "csv"]) == "[]\n"
 
     def test_cli_import_leaves_out_json(self):
         # only --json writes JSON
-        assert self.loaded_by_cli_import(["json", "_json"]) == "[]\n"
+        assert self.loaded_by_import(["json", "_json"]) == "[]\n"
+
+    def test_cli_import_leaves_out_online_analysis_and_typing(self):
+        # a listing, --count or --smallest runs neither module; their names
+        # load on first use
+        names = ["abelianperiods.online", "abelianperiods.analysis", "array", "typing"]
+        assert self.loaded_by_import(names) == "[]\n"
+
+    def test_package_import_leaves_out_the_generators_too(self):
+        names = ["abelianperiods.online", "abelianperiods.analysis", "abelianperiods.generators", "array", "typing"]
+        assert self.loaded_by_import(names, module="abelianperiods") == "[]\n"
+
+    @pytest.mark.parametrize(
+        "args, loaded",
+        [
+            pytest.param((), [], id="listing"),
+            pytest.param(("--filter", "nondeducible", "--count"), ["abelianperiods.analysis"], id="nondeducible"),
+            pytest.param(("--algo", "online-heap"), ["abelianperiods.online"], id="online"),
+            pytest.param(
+                ("--algo", "online-list", "--prefixes"),
+                ["abelianperiods.analysis", "abelianperiods.online"],
+                id="prefixes",
+            ),
+        ],
+    )
+    def test_periods_loads_what_it_runs(self, args, loaded):
+        names = ["abelianperiods.analysis", "abelianperiods.online"]
+        probe = (
+            "import contextlib, io, sys\n"
+            "from abelianperiods.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    main(['periods', '--word', 'abaababa', *{args!r}])\n"
+            f"print(sorted({set(names)!r} & set(sys.modules)))"
+        )
+        assert fresh_python(probe) == f"{loaded!r}\n"
 
 
 class TestGenerateCommand:
