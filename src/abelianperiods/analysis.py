@@ -14,13 +14,16 @@ Cutting sets are residue classes: for 0 <= h < p and h + p <= n the cuts of
 (h, p) are exactly {x in 1..n : x = h (mod p)}. Two cuts x and x + p lie in
 another class mod q only if q divides p, so strict containment reduces to
 one bit test against the head masks of the proper divisors of p, and the
-filter never compares two cutting sets (see :func:`filter_nondeducible`).
+filter never compares two cutting sets. Each test looks at shorter block
+lengths only, so :func:`_cuts` settles one block length at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable, Iterator
+from itertools import tee
 
+from .offline import Row
 from .words import Period, period_order_key
 
 __all__ = [
@@ -44,27 +47,49 @@ def cutting_positions(h: int, p: int, n: int) -> set[int]:
     return set(range(h if h else p, n + 1, p))
 
 
+def _cuts(masks: Iterable[tuple[int, int]], n: int, lengths: Collection[int]) -> Iterator[tuple[int, int]]:
+    """The criterion: for pairs (p, mask) by increasing p, bit h of
+    ``mask`` set for each period (h, p), and every p in ``lengths``, yield
+    per pair p and the mask of its deducible heads. (h, p) is deducible iff
+
+    * it cuts twice or more (h > 0 or 2p <= n) and some proper divisor q
+      of p has a period (h % q, q); or
+    * its only cut is p (h = 0, 2p > n) and some period (h', q) with
+      q < p has h' = p (mod q).
+
+    Cost per pair, m the largest length: O(m / p) steps over the multiples
+    of p, an entry for each one in ``lengths``, and O(log m) shifts of
+    m-bit ints.
+    """
+    top = max(lengths, default=0)
+    # multiple p of q -> the (q, mask) pairs of its proper divisors so far
+    divisors: dict[int, list[tuple[int, int]]] = {}
+    # bit x set iff x % q is a head of some block length q seen so far
+    hit = 0
+    for p, mask in masks:
+        cut = hit >> p & 1 if 2 * p > n and mask & 1 else 0
+        for q, heads in divisors.pop(p, ()):
+            # heads repeated p // q times, q bits apart
+            cut |= heads * (((1 << p) - 1) // ((1 << q) - 1))
+        yield p, cut
+        for multiple in range(2 * p, top + 1, p):
+            if multiple in lengths:
+                divisors.setdefault(multiple, []).append((p, mask))
+        # laid only after p is tested: no block length refines itself
+        width = p
+        while width <= top:
+            mask |= mask << width
+            width *= 2
+        hit |= mask
+
+
 def filter_nondeducible(periods: Iterable[Period], n: int) -> list[Period]:
     """Drop every period whose cutting set another period strictly refines.
 
     ``periods`` should be the complete period set of the word; deducibility
     is relative to it. Input order is kept, and duplicates never refine
-    each other. With ``heads[q]`` the int whose bit h is set for each input
-    period (h, q), a period (h, p) is deducible iff
-
-    * it cuts twice or more (h > 0 or 2p <= n) and some proper divisor q
-      of p has bit ``h % q`` of ``heads[q]`` set; or
-    * its only cut is p (h = 0, 2p > n) and some other period (h', q) !=
-      (0, p) has h' = p (mod q), which needs q < p.
-
-    ``cut[p]`` ORs each divisor's mask tiled p // q times, so each period
-    costs one bit test. The single-cut periods are settled together: each
-    block length q, smallest first, tiles its mask over m bits by doubling
-    and clears the pending p > q it refines, until none is pending. Cost,
-    for s periods of largest block length m: O(s) validation and bit tests,
-    O(m log m) tile products over ints of at most m bits, and O(log m)
-    shifts of m-bit ints per block length q that a pending period still
-    exceeds.
+    each other. Each period is one bit test against the cut masks that
+    :func:`_cuts` gives its head masks, sized by the block lengths, not n.
 
     Raises ValueError for a pair outside 0 <= h < p, h + p <= n, where the
     criterion does not hold.
@@ -81,29 +106,30 @@ def filter_nondeducible(periods: Iterable[Period], n: int) -> list[Period]:
         except IndexError:
             heads += [0] * p
             heads[p] |= 1 << h
-    present = [q for q in range(1, len(heads)) if heads[q]]
-    cut = [0] * len(heads)
-    for q in present:
-        for p in range(2 * q, len(heads), q):
-            if heads[p]:
-                # heads[q] repeated p // q times, q bits apart
-                cut[p] |= heads[q] * (((1 << p) - 1) // ((1 << q) - 1))
-    # bit p of pending: (0, p) cuts only at p, and no q seen yet refines it
-    single = pending = sum(1 << p for p in present if 2 * p > n and heads[p] & 1)
-    for q in present:
-        if not pending >> q + 1:
-            break
-        # heads[q] tiled over the bits of every block length: bit x is set
-        # iff x % q is a head of q; it refines the pending p > q it covers
-        tile, width = heads[q], q
-        while width < len(heads):
-            tile |= tile << width
-            width *= 2
-        pending &= ~(tile >> q + 1 << q + 1)
-    refined = single & ~pending
-    for p in present:
-        cut[p] |= refined >> p & 1
+    masks = {p: mask for p, mask in enumerate(heads) if mask}
+    cut = dict(_cuts(masks.items(), n, masks))
     return [hp for hp in periods if not cut[hp[1]] >> hp[0] & 1]
+
+
+def _nondeducible_rows(rows: Iterable[Row], n: int) -> Iterator[Row]:
+    """:func:`filter_nondeducible` on the rows ``(p, heads)`` of a whole
+    answer, row by row: an uncut row passes as it is, a fully cut one not."""
+    rows, again = tee(rows)
+
+    def masks() -> Iterator[tuple[int, int]]:
+        for p, heads in again:
+            # "0" and "1" by decreasing bit, so flags[~h] is bit h
+            flags = bytearray(b"0") * p
+            for h in heads:
+                flags[~h] = 49
+            yield p, int(flags, 2)
+
+    for (p, heads), (_, cut) in zip(rows, _cuts(masks(), n, range(1, n + 1))):
+        if cut:
+            flags = f"{cut:0{p}b}"
+            if not (heads := [h for h in heads if flags[~h] == "0"]):
+                continue
+        yield p, heads
 
 
 def smallest_period(periods: Iterable[Period]) -> Period | None:

@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import islice, product
 from string import ascii_lowercase
 
-from . import ALGOS, ONLINE_ALGOS, _period_rows, iter_abelian_periods
+from . import ALGOS, ONLINE_ALGOS, _period_rows
 # the library's one dispatch; perfbench's traced pass calls it under this name
 from . import abelian_periods as run_algorithm
 from .generators import cyclic_word, fibonacci_word, random_word, spike_word
@@ -39,8 +39,7 @@ from .words import (
     periods_by_definition,
 )
 
-# the filter functions live in .analysis, which only --prefixes and
-# --filter nondeducible import: a listing, --count or --smallest never calls one
+# "nondeducible" and --prefixes alone import .analysis
 FILTERS = ("all", "nontrivial", "nondeducible")
 # periods per write: one write(2) per line would cost more than the listing
 # when stdout is unbuffered (PYTHONUNBUFFERED=1), while the first byte still
@@ -91,33 +90,21 @@ def cross_check_word(word: Word, *, check_prefixes: bool = True) -> str | None:
     return None
 
 
-def _write_joined(pieces: Iterator[str], sep: str = "") -> None:
-    """Write ``sep.join(pieces)`` to stdout, ``BATCH`` pieces per write."""
-    lead = ""
-    while batch := sep.join(islice(pieces, BATCH)):
-        sys.stdout.write(lead + batch)
-        lead = sep
-
-
-def _write_periods(periods: Iterable[Period]) -> None:
-    _write_joined(f"{h} {p}\n" for h, p in periods)
-
-
-def _write_rows(rows: Iterable[Row], n: int) -> None:
-    """Write the ``h p`` lines of rows ``(p, heads)`` to stdout, once at
-    least ``BATCH`` periods are joined; a longer row goes out whole."""
-    names = [f"{h} " for h in range(n // 2 + 1)]
+def _write_rows(rows: Iterable[Row], n: int, head: str = "{} ", end: str = "{}\n", skip: int = 0) -> None:
+    """Write ``head.format(h) + end.format(p)`` per period of rows ``(p, heads)``,
+    less the first ``skip`` characters, in whole rows of at least ``BATCH`` periods."""
+    names = [head.format(h) for h in range(n // 2 + 1)]
     pieces: list[str] = []
     joined = 0
     for p, heads in rows:
-        end = f"{p}\n"
-        pieces += end.join(map(names.__getitem__, heads)), end
+        tail = end.format(p)
+        pieces += tail.join(map(names.__getitem__, heads)), tail
         joined += len(heads)
         if joined >= BATCH:
-            sys.stdout.write("".join(pieces))
+            sys.stdout.write("".join(pieces)[skip:])
             pieces.clear()
-            joined = 0
-    sys.stdout.write("".join(pieces))
+            joined = skip = 0
+    sys.stdout.write("".join(pieces)[skip:])
 
 
 def _input_word(args) -> Word:
@@ -147,48 +134,34 @@ def cmd_periods(args) -> int:
 
         def show(i: int, periods: set[Period]) -> None:
             sys.stdout.write(f"# prefix {i}\n")
-            _write_periods(sorted(keep(periods, i), key=period_order_key))
+            _write_rows(((p, [h]) for h, p in sorted(keep(periods, i), key=period_order_key)), i)
 
         run_algorithm(word, args.algo, sink=show)
         return 0
-    nontrivial_only = args.filter_name == "nontrivial"
-    if not args.as_json and args.filter_name != "nondeducible":
-        # rows (p, heads) in canonical order: a count is a sum of row
-        # lengths, the smallest period the first head of the first row
-        rows = _period_rows(word, args.algo, nontrivial_only=nontrivial_only)
-        if args.count:
-            print(sum(len(heads) for _, heads in rows))
-        elif args.smallest:
-            for p, heads in rows:
-                print(heads[0], p)
-                break
-        else:
-            _write_rows(rows, len(word))
-        return 0
-    # one (h, p) tuple per period: --json streams them, and the
-    # non-deducible filter, the only route to the modes below, needs a list
-    periods = iter_abelian_periods(word, args.algo, nontrivial_only=nontrivial_only)
+    # rows (p, heads) in canonical order: a count is a sum of row lengths,
+    # the smallest period the first head of the first row
+    n = len(word)
+    rows = _period_rows(word, args.algo, nontrivial_only=args.filter_name == "nontrivial")
     if args.filter_name == "nondeducible":
-        from .analysis import filter_nondeducible
+        from .analysis import _nondeducible_rows
 
-        periods = filter_nondeducible(periods, len(word))
+        rows = _nondeducible_rows(rows, n)
     if args.as_json:
         # imported here, not at the top: every other `periods` child would load it
         import json
 
         # the bytes of print(json.dumps(document)), written in pieces: the
-        # other fields, then the period array in batches, never built whole
-        fields = {"word_length": len(word), "algo": args.algo, "filter": args.filter_name}
+        # other fields, then ", [h, p]" per period less the first ", "
+        fields = {"word_length": n, "algo": args.algo, "filter": args.filter_name}
         sys.stdout.write(json.dumps(fields)[:-1] + ', "periods": [')
-        _write_joined((f"[{h}, {p}]" for h, p in periods), ", ")
+        _write_rows(rows, n, ", [{}, ", "{}]", skip=2)
         sys.stdout.write("]}\n")
     elif args.count:
-        print(len(periods))
+        print(sum(len(heads) for _, heads in rows))
     elif args.smallest:
-        # the first period in canonical order is the smallest
-        _write_periods(periods[:1])
+        _write_rows(((p, heads[:1]) for p, heads in islice(rows, 1)), n)
     else:
-        _write_periods(periods)
+        _write_rows(rows, n)
     return 0
 
 

@@ -18,8 +18,7 @@ increasing list of every h with (h, p) a period, and the rows come by
 increasing p. The enumerators flatten the rows into (h, p) tuples
 (:func:`_periods_of_rows`), lazily and in canonical order (increasing p,
 then increasing h); the CLI reads the rows themselves
-(:func:`_brute_force_rows`, :func:`_select_rows`), so it counts, lists and
-finds the smallest period without a tuple per period.
+(:func:`_brute_force_rows`, :func:`_select_rows`), in every whole-word mode.
 
 The body screens all heads of one block length p at once, on big ints
 with one slot per head. A multi-block head goes on to the exact tests only

@@ -220,15 +220,18 @@ class TestStreamedOutput:
         for word in (fibonacci_word(377), spike_word(150), cyclic_word(4, 300)):
             n = len(word)
             every = abelian_periods(word, algo)
-            for filter_name in ("all", "nontrivial"):
+            for filter_name in FILTERS:
                 periods = _filtered(every, filter_name, n)
                 sizes = Counter(p for _, p in periods).values()
                 assert not periods or min(sizes) < batch < max(sizes), (n, filter_name)
                 hp = smallest_period(periods)
+                doc = {"word_length": n, "algo": algo, "filter": filter_name,
+                       "periods": [list(hp) for hp in periods]}
                 expected = {
                     (): _listing(periods),
                     ("--count",): f"{len(periods)}\n",
                     ("--smallest",): "" if hp is None else _listing([hp]),
+                    ("--json",): json.dumps(doc) + "\n",
                 }
                 for mode, want in expected.items():
                     got = periods_cmd("--word", word.text, "--algo", algo,
@@ -250,11 +253,12 @@ class TestStreamedOutput:
                               "--filter", filter_name, "--prefixes")
             assert got == (0, "".join(blocks), ""), text
 
-    def test_smallest_pulls_one_period(self, cli, monkeypatch):
-        # the CLI reads select's rows (p, heads), not its (h, p) tuples: it
-        # must pull only the row that holds the smallest period
+    @staticmethod
+    def check_smallest_pulls_one_row(cli, monkeypatch, filter_name):
+        """``--smallest`` on a Fibonacci word prints the smallest period and
+        pulls from select only the row that holds it."""
         text = fibonacci_word(233).text
-        smallest = smallest_period(abelian_periods(text))
+        smallest = smallest_period(_filtered(abelian_periods(text), filter_name, len(text)))
         real = abelianperiods._select_rows
         pulled = []
 
@@ -264,10 +268,20 @@ class TestStreamedOutput:
                 yield row
 
         monkeypatch.setattr("abelianperiods._select_rows", counting)
-        code, out, _ = cli("periods", "--word", text, "--smallest")
+        code, out, _ = cli("periods", "--word", text, "--filter", filter_name, "--smallest")
         assert code == 0 and out == _listing([smallest])
         assert [p for p, _ in pulled] == [smallest[1]]
         assert pulled[0][1][0] == smallest[0]
+
+    def test_smallest_pulls_one_period(self, cli, monkeypatch):
+        # the CLI reads select's rows (p, heads), not its (h, p) tuples: it
+        # must pull only the row that holds the smallest period
+        self.check_smallest_pulls_one_row(cli, monkeypatch, "all")
+
+    def test_smallest_nondeducible_pulls_one_row(self, cli, monkeypatch):
+        # no shorter block length can refine the smallest period, so the
+        # non-deducible filter keeps it without reading a second row
+        self.check_smallest_pulls_one_row(cli, monkeypatch, "nondeducible")
 
     def test_count_holds_no_list(self, cli):
         text = fibonacci_word(987).text

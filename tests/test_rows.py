@@ -5,7 +5,8 @@ import pytest
 
 import abelianperiods
 from abelianperiods import ALGOS, Alphabet, Word, offline
-from conftest import oracle_periods, words_over
+from abelianperiods.analysis import _nondeducible_rows
+from conftest import oracle_periods, pairwise_nondeducible, words_over
 
 CORPORA = [("ab", 10), ("abc", 7)]
 
@@ -43,3 +44,16 @@ def test_rows_when_the_screen_never_decides_alone(monkeypatch, letters, max_len)
     # the on-line algorithms read no weights
     monkeypatch.setattr(offline, "_letter_weights", lambda sigma: [1] * sigma)
     check_rows(letters, max_len, ["brute", "select"])
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+@pytest.mark.parametrize("letters,max_len", CORPORA)
+def test_nondeducible_rows_match_the_pairwise_filter(letters, max_len, algo):
+    # the CLI's streamed filter, one row at a time, against the O(s^2) referee
+    alphabet = Alphabet(letters)
+    for text in words_over(letters, max_len):
+        n = len(text)
+        rows = list(_nondeducible_rows(abelianperiods._period_rows(Word(text, alphabet), algo), n))
+        assert all(heads for _, heads in rows), (text, algo)
+        expected = pairwise_nondeducible(oracle_periods(text), n)
+        assert [(h, p) for p, heads in rows for h in heads] == expected, (text, algo)
