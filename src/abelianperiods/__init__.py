@@ -151,12 +151,14 @@ def _online_rows(
         rows = _lifetime_rows(n)
         for h, p in final:
             rows[p][h] = n
-    # by p, then h: canonical order with no sort, cut at h + blocks·p <= n
+    # by p, then h: canonical order with no sort, cut at h + blocks·p <= n;
+    # heads drawn from one list, so the rows share one int object per head
     blocks = 2 if nontrivial_only else 1
+    numbers = list(range(n + 1))
     return (
         (p, heads)
         for p in range(1, n // blocks + 1)
-        if (heads := [h for h, j in enumerate(rows[p][: n - blocks * p + 1]) if j == n])
+        if (heads := [h for h, j in zip(numbers, rows[p][: n - blocks * p + 1]) if j == n])
     )
 
 

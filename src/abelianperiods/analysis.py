@@ -72,9 +72,10 @@ def _cuts(masks: Iterable[tuple[int, int]], n: int, lengths: Collection[int]) ->
             # heads repeated p // q times, q bits apart
             cut |= heads * (((1 << p) - 1) // ((1 << q) - 1))
         yield p, cut
+        pair = (p, mask)
         for multiple in range(2 * p, top + 1, p):
             if multiple in lengths:
-                divisors.setdefault(multiple, []).append((p, mask))
+                divisors.setdefault(multiple, []).append(pair)
         # laid only after p is tested: no block length refines itself
         width = p
         while width <= top:

@@ -10,12 +10,15 @@ Two enumerators with identical output:
   surviving multi-block ones (h + 2p <= n) with the same block walk and
   tail test. A one-block candidate (h + 2p > n: one full block, the tail
   shorter than it) needs no vector test: the one-block periods of each
-  head form an interval of p, found once per head by binary search.
+  head form an interval of p, found once per head by binary search, so
+  the one-block heads of each p are one slice of a sorted list.
 
 Both come from one body, :func:`_verified_rows`, which yields one row
 ``(p, heads)`` per block length p that has a period: ``heads`` is the
 increasing list of every h with (h, p) a period, and the rows come by
-increasing p. The enumerators flatten the rows into (h, p) tuples
+increasing p. Every head is the one int object of its value in a list of
+0..n built per call, so the answer holds at most n + 1 head objects. The
+enumerators flatten the rows into (h, p) tuples
 (:func:`_periods_of_rows`), lazily and in canonical order (increasing p,
 then increasing h); the CLI reads the rows themselves
 (:func:`_brute_force_rows`, :func:`_select_rows`), in every whole-word mode.
@@ -40,6 +43,7 @@ there select gains only what the M and G tables prune.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, compress, repeat
 
@@ -83,7 +87,11 @@ def _verified_rows(
     p >= bound[h], and without a head test: the bound must guarantee it. A
     one-block candidate has no blocks to walk: with ``starts`` (see
     :func:`_one_block_starts`) it is a period iff p >= starts[h], without
-    it its head and tail are tested.
+    it its head and tail are tested. A head whose start p has been reached
+    stays a period for every larger p of its window, so with ``starts``
+    the heads go into a sorted list as p reaches their start, and a row's
+    one-block heads are the slice of that list inside its window [lo, hi):
+    O(log n) steps per p and a copy of the heads, none per candidate.
 
     Each p's heads are screened together, on windows of slots cut out of
     one int per table. Slots have spare top bits, so none borrows from the
@@ -104,7 +112,16 @@ def _verified_rows(
     bits, most = 8 * nb, n // 3 + 1
     fingerprints = _slots(f, nb)
     tops = _slots([1 << bits - 1] * most, nb)
-    if starts is None and not nontrivial_only:
+    # every head is drawn from here (``compress`` stops at its shorter
+    # input), so rows share one int object per head
+    numbers = list(range(n + 1))
+    if starts is not None:
+        # heads by the least p of their one-block periods, moved into the
+        # sorted ``ready`` as p reaches it
+        order = sorted(numbers[: len(starts)], key=starts.__getitem__)
+        ready = []
+        k = 0
+    elif not nontrivial_only:
         vb = -(-table.width * table.word.alphabet.size // 8)
         sb, wide = vb + 1, n // 2 + 1
         sbits = 8 * sb
@@ -124,7 +141,7 @@ def _verified_rows(
             X2 = (fingerprints >> 2 * bits * p) & mask
             same = (F - ((X2 - X1) ^ (X1 - X0))) & F
         if same:
-            for h in compress(range(m), same.to_bytes(m * nb, "little")[nb - 1 :: nb]):
+            for h in compress(numbers, same.to_bytes(m * nb, "little")[nb - 1 :: nb]):
                 if bound is not None and p < bound[h]:
                     continue
                 ph = P[h]
@@ -147,9 +164,10 @@ def _verified_rows(
             lo = max(0, n - 2 * p + 1)
             hi = min(p - 1, n - p, hcap - 1) + 1
             if starts is not None:
-                for h in range(lo, hi):
-                    if starts[h] <= p:
-                        heads.append(h)
+                while k < len(order) and starts[order[k]] <= p:
+                    insort(ready, order[k])
+                    k += 1
+                heads += ready[bisect_left(ready, lo) : bisect_left(ready, hi)]
             elif lo < hi:
                 cut = sbits * (wide - (hi - lo))
                 mask, G = s_ones >> cut, guards >> cut
@@ -158,7 +176,7 @@ def _verified_rows(
                 B = E - H
                 both = (B + G - H) & (B + E + (gaps >> cut)) & G
                 ok = (both + (lifts >> cut)).to_bytes((hi - lo) * sb, "little")
-                heads += compress(range(lo, hi), ok[sb - 1 :: sb])
+                heads += compress(numbers[lo:hi], ok[sb - 1 :: sb])
         if heads:
             yield p, heads
 
@@ -236,8 +254,9 @@ def select_periods(
     at or beyond the first blocked one are never tried, and the head
     containment test is folded into M (p >= M[h] already implies it).
     Surviving multi-block candidates (h + 2p <= n) get the block walk and
-    tail test of :func:`brute_force_periods`; one-block candidates are one
-    comparison with :func:`_one_block_starts`. Output is identical to it.
+    tail test of :func:`brute_force_periods`; the one-block periods of each
+    block length are one slice of the heads whose start in
+    :func:`_one_block_starts` it has reached. Output is identical to it.
     """
     return _periods_of_rows(_select_rows(table, nontrivial_only=nontrivial_only))
 

@@ -129,6 +129,73 @@ class TestOneBlockStarts:
         assert table.packed.reads < multi_block_reads, (table.packed.reads, multi_block_reads)
 
 
+def per_candidate_one_block_rows(table, starts):
+    """Per p, the heads h in the one-block window of p (h + 2p > n, h < p,
+    h + p <= n, h < len(starts)) with p >= starts[h], one candidate at a
+    time."""
+    n = table.n
+    rows = {}
+    for p in range(1, n + 1):
+        lo = max(0, n - 2 * p + 1)
+        hi = min(p - 1, n - p, len(starts) - 1) + 1
+        if heads := [h for h in range(lo, hi) if starts[h] <= p]:
+            rows[p] = heads
+    return rows
+
+
+def one_block_rows(rows, n):
+    """The one-block heads (h + 2p > n) of rows ``(p, heads)``, by p."""
+    picked = {p: [h for h in heads if h + 2 * p > n] for p, heads in rows}
+    return {p: heads for p, heads in picked.items() if heads}
+
+
+class TestOneBlockSlices:
+    """select takes each row's one-block heads as one slice of the heads
+    whose start p has passed, against the rule p >= starts[h] per head."""
+
+    @pytest.mark.parametrize("letters,max_len", [("ab", 12), ("abc", 7)])
+    def test_slices_equal_the_per_candidate_rule(self, letters, max_len):
+        alphabet = Alphabet(letters)
+        for text in words_over(letters, max_len):
+            table = table_of(text, alphabet)
+            starts = _one_block_starts(table, _select_bound(table.word))
+            got = one_block_rows(offline._select_rows(table), len(text))
+            assert got == per_candidate_one_block_rows(table, starts), text
+
+    @pytest.mark.parametrize("text, tried", [("abaaaaabaa", 5), ("bbaaaaaaaa", 2)])
+    def test_blocked_heads(self, text, tried):
+        # select tries only the heads h < len(bound): from n / 2 on no block
+        # is longer than the head, and from 2 on the head of the second
+        # word holds more b than the rest of the word
+        table = table_of(text)
+        bound = _select_bound(table.word)
+        starts = _one_block_starts(table, bound)
+        assert len(bound) == tried
+        rows = one_block_rows(offline._select_rows(table), len(text))
+        assert rows == per_candidate_one_block_rows(table, starts)
+        expected = {}
+        for h, p in oracle_periods(text):
+            if h + 2 * p > len(text):
+                expected.setdefault(p, []).append(h)
+        assert rows == expected
+
+    @pytest.mark.parametrize("text", ["abaababaab", "aabbbabaab", "abcacbacab"])
+    def test_heads_that_never_get_ready(self, text):
+        # an unblocked head of select always has the one-block period
+        # (h, n - h), so starts[h] = n - h + 1 (no one-block period) is set
+        # by hand here: such a head must never enter a slice, and the heads
+        # that share its window must still come out
+        table = table_of(text)
+        n = len(text)
+        bound = _select_bound(table.word)
+        starts = _one_block_starts(table, bound)
+        for h in range(len(starts)):
+            never = starts[:h] + [n - h + 1] + starts[h + 1 :]
+            rows = list(offline._verified_rows(table, False, bound, never))
+            assert one_block_rows(rows, n) == per_candidate_one_block_rows(table, never), (text, h)
+            assert all(h not in heads or h + 2 * p <= n for p, heads in rows), (text, h)
+
+
 class TestLemmaSuperset:
     def test_cyclic_word_carries_the_quadratic_family(self):
         for sigma, n in [(2, 8), (2, 16), (3, 9)]:

@@ -57,3 +57,18 @@ def test_nondeducible_rows_match_the_pairwise_filter(letters, max_len, algo):
         assert all(heads for _, heads in rows), (text, algo)
         expected = pairwise_nondeducible(oracle_periods(text), n)
         assert [(h, p) for p, heads in rows for h in heads] == expected, (text, algo)
+
+
+@pytest.mark.parametrize("nontrivial_only", [False, True])
+@pytest.mark.parametrize("algo", ["brute", "select", "online-heap"])
+def test_heads_are_shared_int_objects(algo, nontrivial_only):
+    # heads come from one list of 0..n per call, so an answer holds at most
+    # n + 1 head objects, however many periods share them; heads above 256
+    # made anew per period would each be a separate object
+    word = abelianperiods.random_word(2, 600, 1)
+    n = len(word)
+    periods = abelianperiods.abelian_periods(word, algo, nontrivial_only=nontrivial_only)
+    rows = list(abelianperiods._period_rows(word, algo, nontrivial_only=nontrivial_only))
+    assert len(periods) > n
+    assert len({id(h) for h, _ in periods}) <= n + 1, len(periods)
+    assert len({id(h) for _, heads in rows for h in heads}) <= n + 1, len(rows)
