@@ -133,11 +133,24 @@ def _checked_table(word, algo: str, sink: "Sink | None") -> PrefixParikhTable:
     return PrefixParikhTable(word)
 
 
-def _online_rows(
-    table: PrefixParikhTable, algo: str, sink: "Sink | None", nontrivial_only: bool
+def _period_rows(
+    word, algo: str = "select", *, nontrivial_only: bool = False, sink: "Sink | None" = None
 ) -> "Iterator[offline.Row]":
-    """Run an on-line algorithm over the whole word now, and return its
-    finals as rows ``(p, heads)``, read off rows of lifetimes by p."""
+    """The periods of :func:`iter_abelian_periods` as rows ``(p, heads)``:
+    one per block length p that has a period, by increasing p, with the
+    increasing heads h of its periods (h, p).
+
+    Arguments, ``sink`` included, are checked as there. ``brute`` and
+    ``select`` return their row generators, so stopping early stops the
+    enumeration. An on-line algorithm runs the whole word, and ``sink``,
+    now; its finals are read off rows of lifetimes by p, then h.
+    """
+    table = _checked_table(word, algo, sink)
+    # module-global lookups, as in iter_abelian_periods
+    if algo == "brute":
+        return _brute_force_rows(table, nontrivial_only=nontrivial_only)
+    if algo == "select":
+        return _select_rows(table, nontrivial_only=nontrivial_only)
     # looked up on the package at call time, so that patching or wrapping an
     # on-line enumerator there reaches this dispatch, loaded or not
     from . import online_array, online_heap, online_list
@@ -162,23 +175,6 @@ def _online_rows(
     )
 
 
-def _period_rows(word, algo: str = "select", *, nontrivial_only: bool = False) -> "Iterator[offline.Row]":
-    """The periods of :func:`iter_abelian_periods` as rows ``(p, heads)``:
-    one per block length p that has a period, by increasing p, with the
-    increasing heads h of its periods (h, p).
-
-    Arguments are checked as there. ``brute`` and ``select`` return their
-    row generators, so stopping early stops the enumeration.
-    """
-    table = _checked_table(word, algo, None)
-    # module-global lookups, as in iter_abelian_periods
-    if algo == "brute":
-        return _brute_force_rows(table, nontrivial_only=nontrivial_only)
-    if algo == "select":
-        return _select_rows(table, nontrivial_only=nontrivial_only)
-    return _online_rows(table, algo, None, nontrivial_only)
-
-
 def iter_abelian_periods(
     word,
     algo: str = "select",
@@ -190,17 +186,17 @@ def iter_abelian_periods(
 
     Arguments are checked on the call, not on the first ``next``. ``brute``
     and ``select`` return their lazy iterators, so stopping early stops the
-    enumeration. The on-line algorithms run the whole word (and ``sink``)
-    first, and their finals go into rows of lifetimes read by p, then h.
+    enumeration; they are called under their package names, which tracing
+    and fault injection patch. The on-line algorithms flatten the rows of
+    :func:`_period_rows`, which runs the whole word (and ``sink``) first.
     """
-    table = _checked_table(word, algo, sink)
-    # module-global lookups, so that patching or wrapping an enumerator on
-    # this package reaches every call made through here
+    # module-global lookups, so that patching or wrapping an off-line
+    # enumerator on this package reaches every call made through here
     if algo == "brute":
-        return brute_force_periods(table, nontrivial_only=nontrivial_only)
+        return brute_force_periods(_checked_table(word, algo, sink), nontrivial_only=nontrivial_only)
     if algo == "select":
-        return select_periods(table, nontrivial_only=nontrivial_only)
-    return _periods_of_rows(_online_rows(table, algo, sink, nontrivial_only))
+        return select_periods(_checked_table(word, algo, sink), nontrivial_only=nontrivial_only)
+    return _periods_of_rows(_period_rows(word, algo, nontrivial_only=nontrivial_only, sink=sink))
 
 
 def abelian_periods(

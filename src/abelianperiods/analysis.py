@@ -20,8 +20,7 @@ lengths only, so :func:`_cuts` settles one block length at a time.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Iterator
-from itertools import tee
+from collections.abc import Callable, Collection, Iterable, Iterator
 
 from .offline import Row
 from .words import Period, period_order_key
@@ -47,17 +46,18 @@ def cutting_positions(h: int, p: int, n: int) -> set[int]:
     return set(range(h if h else p, n + 1, p))
 
 
-def _cuts(masks: Iterable[tuple[int, int]], n: int, lengths: Collection[int]) -> Iterator[tuple[int, int]]:
-    """The criterion: for pairs (p, mask) by increasing p, bit h of
-    ``mask`` set for each period (h, p), and every p in ``lengths``, yield
-    per pair p and the mask of its deducible heads. (h, p) is deducible iff
+def _cuts(n: int, lengths: Collection[int]) -> Callable[[int, int], int]:
+    """The criterion as a step ``cut(p, mask)``, called once per block
+    length p that has a period, by increasing p, each p in ``lengths``:
+    ``mask`` has bit h set for each period (h, p), and the step returns the
+    mask of p's deducible heads. (h, p) is deducible iff
 
     * it cuts twice or more (h > 0 or 2p <= n) and some proper divisor q
       of p has a period (h % q, q); or
     * its only cut is p (h = 0, 2p > n) and some period (h', q) with
       q < p has h' = p (mod q).
 
-    Cost per pair, m the largest length: O(m / p) steps over the multiples
+    Cost per step, m the largest length: O(m / p) steps over the multiples
     of p, an entry for each one in ``lengths``, and O(log m) shifts of
     m-bit ints.
     """
@@ -66,12 +66,13 @@ def _cuts(masks: Iterable[tuple[int, int]], n: int, lengths: Collection[int]) ->
     divisors: dict[int, list[tuple[int, int]]] = {}
     # bit x set iff x % q is a head of some block length q seen so far
     hit = 0
-    for p, mask in masks:
-        cut = hit >> p & 1 if 2 * p > n and mask & 1 else 0
+
+    def cut(p: int, mask: int) -> int:
+        nonlocal hit
+        deducible = hit >> p & 1 if 2 * p > n and mask & 1 else 0
         for q, heads in divisors.pop(p, ()):
             # heads repeated p // q times, q bits apart
-            cut |= heads * (((1 << p) - 1) // ((1 << q) - 1))
-        yield p, cut
+            deducible |= heads * (((1 << p) - 1) // ((1 << q) - 1))
         pair = (p, mask)
         for multiple in range(2 * p, top + 1, p):
             if multiple in lengths:
@@ -82,6 +83,9 @@ def _cuts(masks: Iterable[tuple[int, int]], n: int, lengths: Collection[int]) ->
             mask |= mask << width
             width *= 2
         hit |= mask
+        return deducible
+
+    return cut
 
 
 def filter_nondeducible(periods: Iterable[Period], n: int) -> list[Period]:
@@ -108,26 +112,22 @@ def filter_nondeducible(periods: Iterable[Period], n: int) -> list[Period]:
             heads += [0] * p
             heads[p] |= 1 << h
     masks = {p: mask for p, mask in enumerate(heads) if mask}
-    cut = dict(_cuts(masks.items(), n, masks))
-    return [hp for hp in periods if not cut[hp[1]] >> hp[0] & 1]
+    cut = _cuts(n, masks)
+    cuts = {p: cut(p, mask) for p, mask in masks.items()}
+    return [hp for hp in periods if not cuts[hp[1]] >> hp[0] & 1]
 
 
 def _nondeducible_rows(rows: Iterable[Row], n: int) -> Iterator[Row]:
     """:func:`filter_nondeducible` on the rows ``(p, heads)`` of a whole
     answer, row by row: an uncut row passes as it is, a fully cut one not."""
-    rows, again = tee(rows)
-
-    def masks() -> Iterator[tuple[int, int]]:
-        for p, heads in again:
-            # "0" and "1" by decreasing bit, so flags[~h] is bit h
-            flags = bytearray(b"0") * p
-            for h in heads:
-                flags[~h] = 49
-            yield p, int(flags, 2)
-
-    for (p, heads), (_, cut) in zip(rows, _cuts(masks(), n, range(1, n + 1))):
-        if cut:
-            flags = f"{cut:0{p}b}"
+    cut = _cuts(n, range(1, n + 1))
+    for p, heads in rows:
+        # "0" and "1" by decreasing bit, so flags[~h] is bit h
+        flags = bytearray(b"0") * p
+        for h in heads:
+            flags[~h] = 49
+        if deducible := cut(p, int(flags, 2)):
+            flags = f"{deducible:0{p}b}"
             if not (heads := [h for h in heads if flags[~h] == "0"]):
                 continue
         yield p, heads

@@ -20,8 +20,9 @@ increasing p. Every head is the one int object of its value in a list of
 0..n built per call, so the answer holds at most n + 1 head objects. The
 enumerators flatten the rows into (h, p) tuples
 (:func:`_periods_of_rows`), lazily and in canonical order (increasing p,
-then increasing h); the CLI reads the rows themselves
-(:func:`_brute_force_rows`, :func:`_select_rows`), in every whole-word mode.
+then increasing h); the package's row dispatch, which every CLI
+``periods`` mode calls, returns the rows themselves
+(:func:`_brute_force_rows`, :func:`_select_rows`).
 
 The body screens all heads of one block length p at once, on big ints
 with one slot per head. A multi-block head goes on to the exact tests only

@@ -148,9 +148,8 @@ def contains_weak(p: ParikhVector, q: ParikhVector) -> bool:
 
 def contains_strict(p: ParikhVector, q: ParikhVector) -> bool:
     """Weak containment plus strictly smaller norm."""
-    if len(p) != len(q):
-        raise ValueError("Parikh vectors over different alphabet sizes")
-    return sum(p) < sum(q) and all(x <= y for x, y in zip(p, q))
+    # weak first: it raises on mismatched sizes, whatever the norms
+    return contains_weak(p, q) and sum(p) < sum(q)
 
 
 class PrefixParikhTable:

@@ -253,6 +253,25 @@ class TestStreamedOutput:
                               "--filter", filter_name, "--prefixes")
             assert got == (0, "".join(blocks), ""), text
 
+    @pytest.mark.parametrize("algo", ONLINE_ALGOS)
+    def test_prefix_listing_builds_no_final_list(self, periods_cmd, monkeypatch, algo):
+        # --prefixes runs the row dispatch, so the period-list entry points
+        # are never called and the output stays the same without them
+        words = [fibonacci_word(55).text, spike_word(10).text, cyclic_word(3, 12).text, GOLDEN]
+        argvs = [("--word", text, "--algo", algo, "--filter", filter_name, "--prefixes")
+                 for text in words for filter_name in FILTERS]
+        expected = [periods_cmd(*argv) for argv in argvs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("final period list built")
+
+        for name in ("abelianperiods.abelian_periods", "abelianperiods.iter_abelian_periods",
+                     "abelianperiods.cli.run_algorithm"):
+            monkeypatch.setattr(name, refuse)
+        for argv, want in zip(argvs, expected):
+            assert want[0] == 0 and want[1], argv
+            assert periods_cmd(*argv) == want, argv
+
     @staticmethod
     def check_smallest_pulls_one_row(cli, monkeypatch, filter_name):
         """``--smallest`` on a Fibonacci word prints the smallest period and

@@ -657,6 +657,20 @@ class TestDispatch:
                 (i, set(oracle_periods(text[:i]))) for i in range(1, len(text) + 1)
             ], text
 
+    @pytest.mark.parametrize("algo", ONLINE_ALGOS)
+    @pytest.mark.parametrize("letters,max_len", [("ab", 8), ("abc", 5)])
+    def test_period_rows_take_the_sink(self, algo, letters, max_len):
+        # the row dispatch feeds the sink what the enumerator alone does, and
+        # a sink changes none of its rows
+        alphabet = Alphabet(letters)
+        enumerator = getattr(abelianperiods, algo.replace("-", "_"))
+        for text in words_over(letters, max_len):
+            word = Word(text, alphabet)
+            seen = []
+            rows = list(abelianperiods._period_rows(word, algo, sink=lambda i, s: seen.append((i, s))))
+            assert seen == collect_prefix_sets(enumerator, PrefixParikhTable(word)), text
+            assert rows == list(abelianperiods._period_rows(word, algo)), text
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -741,6 +755,8 @@ class TestDispatch:
     def test_sink_needs_an_online_algorithm(self, algo, no_table):
         with pytest.raises(ValueError, match="on-line"):
             abelian_periods(GOLDEN, algo, sink=lambda i, s: None)
+        with pytest.raises(ValueError, match="on-line"):
+            abelianperiods._period_rows(GOLDEN, algo, sink=lambda i, s: None)
 
     # the lazy form must fail when called, not when first advanced
     def test_lazy_form_rejects_an_unknown_algorithm_on_call(self, no_table):
@@ -751,6 +767,8 @@ class TestDispatch:
     def test_lazy_form_rejects_a_sink_on_call(self, algo, no_table):
         with pytest.raises(ValueError, match="on-line"):
             iter_abelian_periods(GOLDEN, algo, sink=lambda i, s: None)
+        with pytest.raises(ValueError, match="on-line"):
+            abelianperiods._period_rows(GOLDEN, algo, sink=lambda i, s: None)
 
     @pytest.mark.parametrize("word", [b"abba", None, list("abba")])
     def test_foreign_word_type(self, word, no_table):

@@ -92,6 +92,9 @@ class TestContainment:
             contains_weak((1, 2), (1, 2, 3))
         with pytest.raises(ValueError):
             contains_strict((1,), (1, 2))
+        # the norms alone would already answer False here
+        with pytest.raises(ValueError):
+            contains_strict((5,), (1, 1))
 
     def test_strict_implies_weak_irreflexive_transitive(self):
         space = list(product(range(3), repeat=2))
