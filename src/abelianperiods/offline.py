@@ -11,7 +11,7 @@ Two enumerators with identical output:
   tail test. A one-block candidate (h + 2p > n: one full block, the tail
   shorter than it) needs no vector test: the one-block periods of each
   head form an interval of p, found once per head by binary search, so
-  the one-block heads of each p are one slice of a sorted list.
+  each p's one-block heads are those up to n - p of one sorted list.
 
 Both come from one body, :func:`_verified_rows`, which yields one row
 ``(p, heads)`` per block length p that has a period: ``heads`` is the
@@ -44,7 +44,7 @@ there select gains only what the M and G tables prune.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_right, insort
 from collections.abc import Iterable, Iterator
 from itertools import accumulate, chain, compress, repeat
 
@@ -87,12 +87,13 @@ def _verified_rows(
     h < len(bound) are tried, a multi-block candidate only if
     p >= bound[h], and without a head test: the bound must guarantee it. A
     one-block candidate has no blocks to walk: with ``starts`` (see
-    :func:`_one_block_starts`) it is a period iff p >= starts[h], without
-    it its head and tail are tested. A head whose start p has been reached
-    stays a period for every larger p of its window, so with ``starts``
-    the heads go into a sorted list as p reaches their start, and a row's
-    one-block heads are the slice of that list inside its window [lo, hi):
-    O(log n) steps per p and a copy of the heads, none per candidate.
+    :func:`_one_block_starts`; whole words only) it is a period iff
+    p >= starts[h], without it its head and tail are tested. With
+    ``starts`` the heads go into a sorted list as p reaches their start.
+    Their starts already give h < p and h + 2p > n, so a row's one-block
+    heads are those of the list up to n - p, a bound that once failed fails
+    for every larger p: one binary search per p and a copy of the heads,
+    no step per candidate.
 
     Each p's heads are screened together, on windows of slots cut out of
     one int per table. Slots have spare top bits, so none borrows from the
@@ -161,23 +162,20 @@ def _verified_rows(
                 else:
                     if not t or ((block | guard) - (Pn - P[last])) & guard == guard:
                         heads.append(h)
-        if not nontrivial_only:
-            lo = max(0, n - 2 * p + 1)
-            hi = min(p - 1, n - p, hcap - 1) + 1
-            if starts is not None:
-                while k < len(order) and starts[order[k]] <= p:
-                    insort(ready, order[k])
-                    k += 1
-                heads += ready[bisect_left(ready, lo) : bisect_left(ready, hi)]
-            elif lo < hi:
-                cut = sbits * (wide - (hi - lo))
-                mask, G = s_ones >> cut, guards >> cut
-                H = (prefixes >> sbits * lo) & mask
-                E = (prefixes >> sbits * (lo + p)) & mask
-                B = E - H
-                both = (B + G - H) & (B + E + (gaps >> cut)) & G
-                ok = (both + (lifts >> cut)).to_bytes((hi - lo) * sb, "little")
-                heads += compress(numbers[lo:hi], ok[sb - 1 :: sb])
+        if starts is not None:
+            while k < len(order) and starts[order[k]] <= p:
+                insort(ready, order[k])
+                k += 1
+            heads += ready[: bisect_right(ready, n - p)]
+        elif not nontrivial_only and (lo := max(0, n - 2 * p + 1)) < (hi := min(p, n - p + 1)):
+            cut = sbits * (wide - (hi - lo))
+            mask, G = s_ones >> cut, guards >> cut
+            H = (prefixes >> sbits * lo) & mask
+            E = (prefixes >> sbits * (lo + p)) & mask
+            B = E - H
+            both = (B + G - H) & (B + E + (gaps >> cut)) & G
+            ok = (both + (lifts >> cut)).to_bytes((hi - lo) * sb, "little")
+            heads += compress(numbers[lo:hi], ok[sb - 1 :: sb])
         if heads:
             yield p, heads
 
@@ -197,7 +195,9 @@ def _one_block_starts(table: PrefixParikhTable, bound: list[int]) -> list[int]:
     when there are none. Each entry is a binary search over p from
     max((n - h) // 2 + 1, bound[h]) that tests the tail only: ``bound``
     must exclude no period and have bound[h] >= M[h], where the head
-    already fits. O(n log n) vector operations for the whole table.
+    already fits. Every entry is at least max(h + 1, (n - h) // 2 + 1), as
+    M[h] > h for h >= 1 and an unblocked head has 2h < n. O(n log n) vector
+    operations for the whole table.
     """
     n = table.n
     P, guard = table.packed, table.guard

@@ -9,7 +9,11 @@ import io
 import time
 from contextlib import redirect_stdout
 
+import pytest
+
 from abelianperiods import (
+    ALGOS,
+    ONLINE_ALGOS,
     Alphabet,
     PrefixParikhTable,
     Word,
@@ -28,7 +32,7 @@ from abelianperiods import (
     spike_word,
 )
 from abelianperiods.cli import cross_check_word, main, run_algorithm
-from conftest import oracle_periods, rows_as_dict, words_over
+from conftest import oracle_periods, prefix_sets, rows_as_dict, words_over
 
 GOLDEN = "abaababa"
 EXAMPLE_1_PERIODS = [
@@ -131,22 +135,77 @@ def test_criterion_6_spike_counts():
     )
 
 
-def test_fibonacci_prefix_smallest_periods():
+def fibonacci_numbers(count: int) -> list[int]:
+    """F_0 .. F_(count - 1) with F_0 = F_1 = 1."""
+    fib = [1, 1]
+    while len(fib) < count:
+        fib.append(fib[-1] + fib[-2])
+    return fib[:count]
+
+
+def fibonacci_smallest_period(j: int) -> int:
     """Fici et al., "Abelian powers and repetitions in Sturmian words"
     (TCS 2016): with F_0 = F_1 = 1, the Fibonacci prefix of length F_j,
     j >= 3, has smallest Abelian period F_(j // 2) when j = 0, 1, 2 (mod 4)
-    and F_(1 + j // 2) when j = 3 (mod 4). Checked through the streamed
-    ``periods --smallest`` up to F_18 = 4181."""
-    fib = [1, 1]
-    while len(fib) < 19:
-        fib.append(fib[-1] + fib[-2])
-    for j in range(3, 19):
+    and F_(1 + j // 2) when j = 3 (mod 4)."""
+    return fibonacci_numbers(j // 2 + 2)[j // 2 + (j % 4 == 3)]
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_fibonacci_prefix_smallest_periods(algo):
+    """The closed form of :func:`fibonacci_smallest_period`, through the
+    streamed ``periods --smallest``, the first row of ``_period_rows``: up
+    to F_20 = 10946 off-line and F_14 = 610 on-line."""
+    top = 14 if algo in ONLINE_ALGOS else 20
+    fib = fibonacci_numbers(top + 1)
+    for j in range(3, top + 1):
         out = io.StringIO()
         with redirect_stdout(out):
-            code = main(["periods", "--word", fibonacci_word(fib[j]).text, "--smallest"])
+            code = main(["periods", "--word", fibonacci_word(fib[j]).text, "--algo", algo, "--smallest"])
         h, p = map(int, out.getvalue().split())
-        assert code == 0 and p == fib[j // 2 + (j % 4 == 3)], (j, h, p)
-    print("PASS anchor: Fibonacci prefixes of length F_3..F_18 have the known smallest periods")
+        assert code == 0 and p == fibonacci_smallest_period(j), (j, h, p)
+    print(f"PASS anchor: {algo} gives Fibonacci prefixes of length F_3..F_{top} their known smallest periods")
+
+
+def smallest_prefix_periods(rows) -> list[int]:
+    """The smallest period p of every prefix w[1..i], i = 1..n, read off
+    ``online_array`` rows ``t[p][h]``, the last prefix having (h, p).
+
+    (h, p) is a period of w[1..i] exactly for i in [h + p, t[p][h]]. Going by
+    increasing p, each prefix of such an interval not claimed yet takes p.
+    """
+    n = len(rows) - 1
+    smallest = [0] * (n + 1)
+    for p, row in enumerate(rows):
+        for h, last in enumerate(row):
+            for i in range(h + p, last + 1):
+                if not smallest[i]:
+                    smallest[i] = p
+    return smallest[1:]
+
+
+def test_smallest_prefix_periods_reader():
+    """The reader against the prefix sets of ``prefix_lifetimes``, which
+    come from the definition, on every binary word up to length 10."""
+    alphabet = Alphabet("ab")
+    for text in words_over("ab", 10):
+        got = smallest_prefix_periods(online_array(PrefixParikhTable(Word(text, alphabet))))
+        assert got == [min(p for _, p in live) for _, live in prefix_sets(text)], text
+    print("PASS reader: smallest period of every prefix, every binary word up to length 10")
+
+
+def test_fibonacci_every_prefix_has_a_fibonacci_smallest_period():
+    """Fici et al., "Abelian powers and repetitions in Sturmian words"
+    (TCS 2016): the smallest Abelian period of every factor of the Fibonacci
+    word is a Fibonacci number. They index F_1 = 1, F_2 = 2, the same values
+    as F_0 = F_1 = 1 above. Checked on every prefix of the Fibonacci word of
+    length 377, from ``online_array``'s lifetime rows. Which heads take the
+    smallest period is not part of the theorem and is not checked."""
+    fib = set(fibonacci_numbers(15))
+    smallest = smallest_prefix_periods(online_array(PrefixParikhTable(fibonacci_word(377))))
+    assert len(smallest) == 377
+    assert all(p in fib for p in smallest), [(i, p) for i, p in enumerate(smallest, 1) if p not in fib]
+    print("PASS anchor: every prefix of the Fibonacci word of length 377 has a Fibonacci smallest period")
 
 
 def test_criterion_7a_binary_words_agree():

@@ -92,7 +92,8 @@ class TestOneBlockStarts:
     @pytest.mark.parametrize("letters,max_len", [("ab", 11), ("abc", 7)])
     def test_least_one_block_period(self, letters, max_len):
         """starts[h] is the least one-block p, or n - h + 1, and every
-        larger one-block p is a period too."""
+        larger one-block p is a period too. It is never below
+        max(h + 1, (n - h) // 2 + 1), which select's cut at n - p needs."""
         alphabet = Alphabet(letters)
         for text in words_over(letters, max_len):
             table = table_of(text, alphabet)
@@ -103,6 +104,7 @@ class TestOneBlockStarts:
                 periods = [p for p in one_block if is_abelian_period(table, h, p)]
                 assert start == (periods[0] if periods else n - h + 1), (text, h)
                 assert periods == list(range(start, n - h + 1)), (text, h)
+                assert start >= max(h + 1, (n - h) // 2 + 1), (text, h)
 
     def test_first_period_comes_before_the_multi_block_scan_ends(self, monkeypatch):
         """A spike word has no multi-block period (h + 2p <= n), and its
